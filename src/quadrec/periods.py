@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DegenerateInputError, ResourceLimitError, UsageError
+from .errors import (DegenerateInputError, InvariantBreachError,
+                     ResourceLimitError, UsageError)
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -150,7 +151,10 @@ def multiplicative_order(x: ResidueElement) -> int:
     for q, a in fac.items():
         k *= q ** a
     # ramified e=1 slips through reduce(); its residue field is still F_p
-    assert P.kind == "ramified" or k == unit_group_order((P, e))
+    if P.kind != "ramified" and k != unit_group_order((P, e)):
+        raise InvariantBreachError(
+            f"stripped multiple {k} is not the unit-group order at {P.label()}^{e}"
+        )
     for q in fac:
         while k % q == 0 and residue_pow(x, k // q).is_one():
             k //= q
@@ -388,8 +392,6 @@ def divisibility_check(t: RecurrenceTuple, P: PrimeIdealData) -> dict:
     report = period_formula(t, [(P, 1)])
     bound = P.norm - 1
     if bound % report.period != 0:
-        from .errors import InvariantBreachError
-
         raise InvariantBreachError(
             f"period {report.period} does not divide {bound} at {P.label()}"
         )

@@ -23,7 +23,17 @@ Rational = Union[int, Fraction]
 TRIAL_LIMIT = 10 ** 6
 DEFAULT_RHO_BUDGET = 2_000_000
 
-# Miller-Rabin with these bases is a proven primality test below this bound.
+# Trial division by every prime through 61 runs first, so no Miller-Rabin
+# base below is ever 0 mod n.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61)
+# Miller-Rabin with bases (2, 7, 61) is a proven primality test below this
+# bound (Jaeschke, Math. Comp. 61 (1993)); the bound itself is the first
+# composite that passes all three, so the test must stay strict.
+_MR_SMALL_BOUND = 4_759_123_141
+_MR_SMALL_BASES = (2, 7, 61)
+# The first twelve prime bases are proven below this bound (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Beyond the proven bound: a fixed wider battery, deterministic but heuristic.
@@ -47,15 +57,27 @@ def _vp(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division through 61, then strong-probable-prime tests.
+
+    The Miller-Rabin base set is picked by the size of n:
+    (2, 7, 61) below 4,759,123,141 (Jaeschke 1993), the twelve primes through
+    37 below 3.3e24 (Sorenson-Webster 2017); both are proofs.  Above that a
+    fixed 25-base battery is deterministic but heuristic.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    bases = _MR_BASES if n < _MR_PROVEN_BOUND else _MR_BASES_WIDE
+    if n < _MR_SMALL_BOUND:
+        bases = _MR_SMALL_BASES
+    elif n < _MR_PROVEN_BOUND:
+        bases = _MR_BASES
+    else:
+        bases = _MR_BASES_WIDE
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -263,8 +285,6 @@ class QuadraticElement:
         g = math.gcd(math.gcd(abs(na), abs(nb)), den)
         if g > 1:
             na, nb, den = na // g, nb // g, den // g
-        if nb == 0 and field is not None:
-            pass  # rational value in a named field stays tagged with the field
         return QuadraticElement(field, na, nb, den)
 
     # -- predicates ---------------------------------------------------------
@@ -519,7 +539,7 @@ def prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeId
     P = splitting_type(field, p)
     if P.kind != "split":
         return (P,)
-    c1, c2 = _split_roots(field, p)
+    c2 = (field.omega_trace - P.hensel_root) % p  # the two roots sum to the trace
     return (P, PrimeIdealData(field, p, "split", 1, c2, True))
 
 
@@ -537,8 +557,12 @@ def hensel_root(field: QuadraticField, p: int, e: int, conjugate: bool = False) 
             )
         return P.hensel_root
     c1, c2 = _split_roots(field, p)
-    c = c2 if conjugate else c1
-    t, n = field.omega_trace, field.omega_norm
+    return _lift_root(c2 if conjugate else c1, p, e,
+                      field.omega_trace, field.omega_norm)
+
+
+def _lift_root(c: int, p: int, e: int, t: int, n: int) -> int:
+    """Newton-lift a simple root c of w^2 - t w + n mod p to p^e."""
     k = 1
     while k < e:
         k = min(2 * k, e)
@@ -603,67 +627,123 @@ def ideal_factors(x: QuadraticElement) -> list[tuple[PrimeIdealData, int]]:
 # residue rings O_K / P^e
 
 
-@dataclass(frozen=True)
-class ResidueElement:
-    """Element of O_K/P^e: one residue mod p^e, or a coordinate pair u + v*w."""
+class _ResidueRing:
+    """O_K/P^e for one modulus (P, e), held as the plain ints its elements use.
 
-    ideal: PrimeIdealData
-    e: int
-    pe: int
+    Single-residue rings (rational P, split P, ramified P at e = 1) are
+    Z/p^e: an element a + b*w maps to a + b*root, with root the zero of w's
+    minimal polynomial lifted from P.hensel_root to p^e.  Inert rings keep
+    coordinate pairs u + v*w with w^2 = t*w - n.
+    """
+
+    __slots__ = ("ideal", "p", "e", "pe", "pair", "t", "n", "root")
+
+    def __init__(self, P: PrimeIdealData, e: int):
+        if P.kind == "ramified" and e >= 2:
+            raise DegenerateInputError(
+                "residue arithmetic past exponent 1 at a ramified prime is unsupported"
+            )
+        self.ideal, self.p, self.e, self.pe = P, P.p, e, P.p ** e
+        self.pair = P.kind == "inert"
+        fld = P.field
+        self.t, self.n = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
+        self.root = None
+        if P.kind == "split":
+            self.root = _lift_root(P.hensel_root, P.p, e, self.t, self.n)
+        elif P.kind == "ramified":
+            self.root = P.hensel_root
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _ResidueRing):
+            return NotImplemented
+        return self.e == other.e and self.ideal == other.ideal
+
+    def __hash__(self) -> int:
+        return hash((self.ideal, self.e))
+
+    def __repr__(self) -> str:
+        return f"_ResidueRing({self.ideal.label()}^{self.e})"
+
+
+@dataclass(frozen=True, slots=True)
+class ResidueElement:
+    """Element of O_K/P^e: one residue u mod p^e, or a coordinate pair u + v*w.
+
+    u and v are plain ints in [0, p^e); v is 0 outside inert rings.  All
+    elements from one reduce() call and everything computed from them share
+    one ring object, so + and * check for a common ring by identity; elements
+    of equal rings built apart still combine after comparing (P, e).
+    """
+
+    ring: _ResidueRing
     u: int
     v: int = 0
 
-    def _pair(self) -> bool:
-        return self.ideal.kind == "inert"
+    @property
+    def ideal(self) -> PrimeIdealData:
+        return self.ring.ideal
 
-    def _same_ring(self, other: "ResidueElement") -> None:
-        if self.ideal != other.ideal or self.e != other.e:
+    @property
+    def e(self) -> int:
+        return self.ring.e
+
+    @property
+    def pe(self) -> int:
+        return self.ring.pe
+
+    def _same_ring(self, other: "ResidueElement") -> _ResidueRing:
+        ring = self.ring
+        if other.ring is not ring and other.ring != ring:
             raise ValueError("residue elements from different rings")
+        return ring
 
     def one(self) -> "ResidueElement":
-        return ResidueElement(self.ideal, self.e, self.pe, 1 % self.pe, 0)
+        return ResidueElement(self.ring, 1, 0)
 
     def is_one(self) -> bool:
-        return self.u == 1 % self.pe and self.v == 0
+        return self.u == 1 and self.v == 0
 
     def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        self._same_ring(other)
-        return ResidueElement(self.ideal, self.e, self.pe,
-                              (self.u + other.u) % self.pe,
-                              (self.v + other.v) % self.pe)
+        pe = self._same_ring(other).pe
+        return ResidueElement(self.ring, (self.u + other.u) % pe,
+                              (self.v + other.v) % pe)
 
     def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        self._same_ring(other)
-        pe = self.pe
-        if not self._pair():
-            return ResidueElement(self.ideal, self.e, pe, self.u * other.u % pe, 0)
-        t, n = self.ideal.field.omega_trace, self.ideal.field.omega_norm
+        ring = self._same_ring(other)
+        pe = ring.pe
+        if not ring.pair:
+            return ResidueElement(ring, self.u * other.u % pe, 0)
+        t, n = ring.t, ring.n
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
         return ResidueElement(
-            self.ideal, self.e, pe,
+            ring,
             (u1 * u2 - n * v1 * v2) % pe,
             (u1 * v2 + u2 * v1 + t * v1 * v2) % pe,
         )
 
+    def _norm(self, m: int) -> int:
+        ring = self.ring
+        u, v = self.u, self.v
+        return (u * u + ring.t * u * v + ring.n * v * v) % m
+
     def is_unit(self) -> bool:
-        if not self._pair():
-            return math.gcd(self.u, self.ideal.p) == 1
-        t, n = self.ideal.field.omega_trace, self.ideal.field.omega_norm
-        nrm = (self.u * self.u + t * self.u * self.v + n * self.v * self.v) % self.ideal.p
-        return nrm != 0
+        ring = self.ring
+        if not ring.pair:
+            return self.u % ring.p != 0
+        return self._norm(ring.p) != 0
 
     def inverse(self) -> "ResidueElement":
         if not self.is_unit():
             raise DegenerateInputError("not a unit in the residue ring")
-        pe = self.pe
-        if not self._pair():
-            return ResidueElement(self.ideal, self.e, pe, pow(self.u, -1, pe), 0)
-        t, n = self.ideal.field.omega_trace, self.ideal.field.omega_norm
-        nrm = (self.u * self.u + t * self.u * self.v + n * self.v * self.v) % pe
-        ninv = pow(nrm, -1, pe)
+        ring = self.ring
+        pe = ring.pe
+        if not ring.pair:
+            return ResidueElement(ring, pow(self.u, -1, pe), 0)
+        ninv = pow(self._norm(pe), -1, pe)
         # conjugate of u + v w is (u + t v) - v w
-        return ResidueElement(self.ideal, self.e, pe,
-                              (self.u + t * self.v) * ninv % pe,
+        return ResidueElement(ring, (self.u + ring.t * self.v) * ninv % pe,
                               -self.v * ninv % pe)
 
 
@@ -672,58 +752,64 @@ def reduce(x, modulus: tuple[PrimeIdealData, int]) -> ResidueElement:
     P, e = modulus
     if e < 1:
         raise UsageError("exponent must be >= 1")
-    pe = P.p ** e
     x = as_element(x, P.field)
     if x.field is not None and P.field is None:
         raise ValueError("quadratic element at a rational prime")
-    if math.gcd(x.den, P.p) != 1:
+    den = x.den
+    if den % P.p == 0:
         # A p-part in the denominator can cancel against the numerator at one
         # split prime (the conjugate prime absorbs it); everywhere else the
         # element genuinely fails to be integral at P.
         if P.kind == "split":
-            return _reduce_split_cancelling(x, P, e)
+            return _reduce_split_cancelling(x, _ResidueRing(P, e))
         raise DegenerateInputError(
-            f"denominator {x.den} is not invertible modulo {P.label()}^{e}"
+            f"denominator {den} is not invertible modulo {P.label()}^{e}"
         )
-    dinv = pow(x.den, -1, pe)
-    if P.kind == "rational":
-        return ResidueElement(P, e, pe, x.num_a * dinv % pe, 0)
-    if P.kind == "inert":
-        return ResidueElement(P, e, pe, x.num_a * dinv % pe, x.num_b * dinv % pe)
-    if P.kind == "ramified" and e >= 2:
-        raise DegenerateInputError(
-            "residue arithmetic past exponent 1 at a ramified prime is unsupported"
-        )
-    c = hensel_root(P.field, P.p, e, P.conjugate_flag)
-    return ResidueElement(P, e, pe, (x.num_a + x.num_b * c) * dinv % pe, 0)
+    ring = _ResidueRing(P, e)
+    pe = ring.pe
+    dinv = 1 if den == 1 else pow(den, -1, pe)
+    if ring.pair:
+        return ResidueElement(ring, x.num_a * dinv % pe, x.num_b * dinv % pe)
+    if ring.root is None:
+        return ResidueElement(ring, x.num_a * dinv % pe, 0)
+    return ResidueElement(ring, (x.num_a + x.num_b * ring.root) * dinv % pe, 0)
 
 
-def _reduce_split_cancelling(x: QuadraticElement, P: PrimeIdealData, e: int) -> ResidueElement:
-    p = P.p
+def _reduce_split_cancelling(x: QuadraticElement, ring: _ResidueRing) -> ResidueElement:
+    p, e, pe = ring.p, ring.e, ring.pe
     vd = _vp(x.den, p)
-    c = hensel_root(x.field, p, e + vd, P.conjugate_flag)
+    c = _lift_root(ring.root, p, e + vd, ring.t, ring.n)
     num = (x.num_a + x.num_b * c) % p ** (e + vd)
     if num % p ** vd != 0:
         raise DegenerateInputError(
-            f"element has negative valuation at {P.label()}: cannot reduce"
+            f"element has negative valuation at {ring.ideal.label()}: cannot reduce"
         )
-    pe = p ** e
     u = (num // p ** vd) * pow(x.den // p ** vd, -1, pe) % pe
-    return ResidueElement(P, e, pe, u, 0)
+    return ResidueElement(ring, u, 0)
 
 
 def residue_pow(x: ResidueElement, k: int) -> ResidueElement:
-    """x^k by square and multiply; x^0 is the identity."""
+    """x^k for k >= 0; x^0 is the identity.
+
+    Single-residue rings hand the whole power to the builtin pow(u, k, p^e).
+    Inert rings square and multiply on the int pair (u, v) directly.
+    Neither path builds an intermediate element.
+    """
     if k < 0:
         raise ValueError("negative exponent: invert first")
-    acc = x.one()
-    base = x
+    ring = x.ring
+    pe = ring.pe
+    if not ring.pair:
+        return ResidueElement(ring, pow(x.u, k, pe), 0)
+    t, n = ring.t, ring.n
+    au, av, bu, bv = 1, 0, x.u, x.v
     while k:
         if k & 1:
-            acc = acc * base
-        base = base * base
+            au, av = (au * bu - n * av * bv) % pe, (au * bv + bu * av + t * av * bv) % pe
         k >>= 1
-    return acc
+        if k:
+            bu, bv = (bu * bu - n * bv * bv) % pe, (2 * bu + t * bv) * bv % pe
+    return ResidueElement(ring, au, av)
 
 
 def unit_group_order(modulus: tuple[PrimeIdealData, int]) -> int:

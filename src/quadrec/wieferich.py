@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DegenerateInputError, UsageError
+from .errors import DegenerateInputError, InvariantBreachError, UsageError
 from .periods import _is_fib_period, pisano_prime_power
 from .ring import (
     PrimeIdealData,
@@ -61,7 +61,10 @@ def fermat_quotient_residue(gamma, P: PrimeIdealData) -> int:
         raise DegenerateInputError(f"base has nonzero valuation at {P.label()}")
     p = P.p
     y = residue_pow(reduce(g, (P, 2)), P.norm - 1)
-    assert (y.u - 1) % p == 0 and y.v % p == 0  # Fermat mod P
+    if (y.u - 1) % p != 0 or y.v % p != 0:
+        raise InvariantBreachError(
+            f"gamma^(N(P)-1) is not 1 mod {P.label()}: Fermat's little theorem fails"
+        )
     s = (y.u - 1) // p % p
     if P.f == 1:
         return s
