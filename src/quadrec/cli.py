@@ -26,10 +26,9 @@ from .errors import (DegenerateInputError, FactorizationError, QuadrecError,
                      UsageError)
 from .heights import (DEFAULT_PRECISION, abc_quality, phi_norm_ratio, radical,
                       triple_height)
-from .periods import (RecurrenceTuple, fibonacci_tuple, lucas_tuple,
-                      period_bruteforce, period_formula)
-from .ring import (QuadraticElement, as_element, factorize,
-                   prime_ideals_above, quadratic_field, sqrt_element)
+from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
+                      lucas_tuple, period_bruteforce, period_formula)
+from .ring import QuadraticElement, as_element, quadratic_field, sqrt_element
 from .search import search_range, wall_predicate, wieferich_predicate
 
 PRECISION_ENV = "QUADREC_PRECISION"
@@ -309,9 +308,7 @@ def _emit_csv(name: str, header: list[str], rows, out) -> None:
 def _cmd_period(cfg: RunConfig, out) -> None:
     t = _resolve_tuple(cfg.tuple_spec, cfg.field_d)
     try:
-        fac = [(P, e) for p, e in sorted(factorize(cfg.modulus).items())
-               for P in prime_ideals_above(t.field(), p)]
-        rep = period_formula(t, fac)
+        rep = period_formula(t, ideal_factorization(t.field(), cfg.modulus))
     except DegenerateInputError:
         rep = period_bruteforce(t, cfg.modulus)
     if cfg.emit == "json":

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 from .errors import (DegenerateInputError, InvariantBreachError,
                      ResourceLimitError, UsageError)
 from .heights import local_values
-from .periods import (RecurrenceTuple, char_coefficients, initial_terms,
-                      period_formula)
+from .periods import (RecurrenceTuple, _to_pair, char_coefficients,
+                      ideal_factorization, initial_terms, period_formula)
 from .ring import (PrimeIdealData, QuadraticElement, QuadraticField,
-                   as_element, factorize, ideal_factors, is_prime, is_torsion,
+                   as_element, ideal_factors, is_prime, is_torsion,
                    prime_ideals_above, reduce)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
@@ -207,89 +207,57 @@ def companion_system(t: RecurrenceTuple) -> CompanionSystem:
     return CompanionSystem(t, tuple(cs), tuple(rows), initial_terms(t))
 
 
-def _pair_mod(x: QuadraticElement, mod: int) -> tuple[int, int]:
-    if math.gcd(x.den, mod) != 1:
-        raise DegenerateInputError(
-            f"denominator {x.den} is not invertible mod {mod}")
-    inv = pow(x.den, -1, mod)
-    return (x.num_a * inv % mod, x.num_b * inv % mod)
-
-
-def _pair_mul(x, y, tr, nm, mod):
-    (u1, v1), (u2, v2) = x, y
-    return ((u1 * u2 - nm * v1 * v2) % mod,
-            (u1 * v2 + u2 * v1 + tr * v1 * v2) % mod)
-
-
 class _OrbitRing:
-    """Arithmetic for one modulus: a plain integer m, or a prime power (P, e)."""
+    """Pairs (u, v) = u + v*w of plain ints mod `mod`, with w^2 = tr*w - nm.
 
-    def __init__(self, field, modulus):
-        self.kind = "int" if isinstance(modulus, int) else "ideal"
-        self.modulus = modulus
-        self._zero = None
-        if self.kind == "int":
+    An integer modulus m is Z[w]/m, entered through _to_pair.  A prime power
+    (P, e) is entered through reduce(), whose residues are pairs mod p^e as
+    well (v = 0 except on inert rings), so both kinds share one arithmetic.
+    The constant coefficient c0 must be a unit, or the companion matrix,
+    with determinant +-c0, has no orbit period.
+    """
+
+    def __init__(self, field, modulus, c0: QuadraticElement):
+        if isinstance(modulus, int):
             if modulus < 1:
                 raise UsageError("modulus must be >= 1")
+            self.mod = modulus
             self.tr, self.nm = (field.omega_trace, field.omega_norm) \
                 if field is not None else (0, 0)
+            self.embed = lambda x: _to_pair(x, modulus)
+            u, v = self.embed(c0)
+            unit = math.gcd(u * u + self.tr * u * v + self.nm * v * v,
+                            modulus) == 1
+        else:
+            r0 = reduce(c0, modulus)
+            unit = r0.is_unit()
+            self.mod, self.tr, self.nm = r0.ring.pe, r0.ring.t, r0.ring.n
 
-    def embed(self, x: QuadraticElement):
-        if self.kind == "int":
-            return _pair_mod(x, self.modulus)
-        return reduce(x, self.modulus)
-
-    def add(self, a, b):
-        if self.kind == "int":
-            m = self.modulus
-            return ((a[0] + b[0]) % m, (a[1] + b[1]) % m)
-        return a + b
-
-    def mul(self, a, b):
-        if self.kind == "int":
-            return _pair_mul(a, b, self.tr, self.nm, self.modulus)
-        return a * b
-
-    def zero(self):
-        if self.kind == "int":
-            return (0, 0)
-        if self._zero is None:
-            P, _ = self.modulus
-            self._zero = reduce(as_element(0, P.field), self.modulus)
-        return self._zero
-
-    def is_unit(self, a) -> bool:
-        if self.kind == "int":
-            nrm = (a[0] * a[0] + self.tr * a[0] * a[1]
-                   + self.nm * a[1] * a[1]) % self.modulus
-            return math.gcd(nrm, self.modulus) == 1
-        return a.is_unit()
+            def embed(x):
+                r = reduce(x, modulus)
+                return (r.u, r.v)
+            self.embed = embed
+        if not unit:
+            raise DegenerateInputError("companion matrix is singular mod modulus")
 
 
 def _mat_vec(ring, M, q):
+    """M q, each entry summed on the pairs and reduced once at the end."""
+    mod, tr, nm = ring.mod, ring.tr, ring.nm
     out = []
     for row in M:
-        acc = ring.zero()
-        for a, x in zip(row, q):
-            acc = ring.add(acc, ring.mul(a, x))
-        out.append(acc)
+        u = v = 0
+        for (a, b), (c, d) in zip(row, q):
+            bd = b * d
+            u += a * c - nm * bd
+            v += a * d + b * c + tr * bd
+        out.append((u % mod, v % mod))
     return tuple(out)
 
 
 def _mat_mul(ring, A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            _dot(ring, [A[i][k] for k in range(n)], [B[k][j] for k in range(n)])
-            for j in range(n))
-        for i in range(n))
-
-
-def _dot(ring, xs, ys):
-    acc = ring.zero()
-    for a, b in zip(xs, ys):
-        acc = ring.add(acc, ring.mul(a, b))
-    return acc
+    """A B, one column of B at a time."""
+    return tuple(zip(*(_mat_vec(ring, A, col) for col in zip(*B))))
 
 
 def _mat_pow(ring, M, k):
@@ -309,14 +277,10 @@ def orbit_period(sys: CompanionSystem, modulus,
                  budget: int = 10 ** 7) -> int:
     """Smallest k >= 1 with M^k q0 = q0, by iteration, then confirmed by an
     independent binary matrix power."""
-    f = sys.source.field()
     if isinstance(modulus, int) and modulus == 1:
         return 1
-    ring = _OrbitRing(f, modulus)
+    ring = _OrbitRing(sys.source.field(), modulus, sys.coefficients[0])
     M = tuple(tuple(ring.embed(x) for x in row) for row in sys.matrix)
-    if not ring.is_unit(M[-1][0] if len(M) > 1 else M[0][0]):
-        # det(M) = +-c_0; a non-invertible matrix has no orbit period
-        raise DegenerateInputError("companion matrix is singular mod modulus")
     q0 = tuple(ring.embed(x) for x in sys.q0)
     q = _mat_vec(ring, M, q0)
     k = 1
@@ -343,12 +307,8 @@ def eigen_consistency(t: RecurrenceTuple, modulus) -> dict:
         if not val.is_zero():
             raise InvariantBreachError(
                 f"root {a} fails the characteristic polynomial")
-    if isinstance(modulus, int):
-        f = t.field()
-        fac = [(P, e) for p, e in sorted(factorize(modulus).items())
-               for P in prime_ideals_above(f, p)]
-    else:
-        fac = [modulus]
+    fac = ideal_factorization(t.field(), modulus) \
+        if isinstance(modulus, int) else [modulus]
     formula = period_formula(t, fac)
     orbit = orbit_period(sys, modulus)
     if orbit != formula.period:

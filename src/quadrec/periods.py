@@ -17,6 +17,7 @@ from .errors import (DegenerateInputError, InvariantBreachError,
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
+    QuadraticField,
     ResidueElement,
     as_element,
     factorize,
@@ -130,6 +131,14 @@ def initial_terms(t: RecurrenceTuple) -> tuple[QuadraticElement, ...]:
 def is_degenerate(t: RecurrenceTuple, P: PrimeIdealData) -> bool:
     """True iff some generator or weight has nonzero valuation at P."""
     return any(quad_valuation(x, P) != 0 for x in t.a + t.b)
+
+
+def ideal_factorization(field: Optional[QuadraticField],
+                        m: int) -> list[tuple[PrimeIdealData, int]]:
+    """(P, e) for every prime ideal P above each p^e exactly dividing m >= 1,
+    in ascending p; both primes above a split p carry the exponent e."""
+    return [(P, e) for p, e in sorted(factorize(m).items())
+            for P in prime_ideals_above(field, p)]
 
 
 def multiplicative_order(x: ResidueElement) -> int:
@@ -348,7 +357,8 @@ def pisano_prime_power(p: int, e: int) -> int:
             if (a, b) == (0, 1):
                 return k
     sym = kronecker(5, p)
-    assert sym != 0
+    if sym == 0:
+        raise InvariantBreachError(f"kronecker(5, {p}) = 0 away from p = 5")
     fac = dict(factorize(p - 1)) if sym == 1 else None
     if fac is None:
         fac = dict(factorize(p + 1))
@@ -356,35 +366,39 @@ def pisano_prime_power(p: int, e: int) -> int:
     k = 1
     for q, a in fac.items():
         k *= q ** a
-    assert _is_fib_period(k, p)
+    if not _is_fib_period(k, p):
+        raise InvariantBreachError(f"{k} is not a Fibonacci period mod {p}")
     for q in fac:
         while k % q == 0 and _is_fib_period(k // q, p):
             k //= q
     for i in range(2, e + 1):
         if not _is_fib_period(k, p ** i):
             k *= p
-            assert _is_fib_period(k, p ** i)
+            if not _is_fib_period(k, p ** i):
+                raise InvariantBreachError(
+                    f"{k} is not a Fibonacci period mod {p}^{i}")
     return k
 
 
 def pisano(m: int) -> int:
-    """Pisano period of m >= 1; the closed formula when every prime factor is
-    unramified and non-degenerate for the Binet pair, plain iteration otherwise."""
+    """Pisano period of m >= 1, as the lcm of the periods of its parts.
+
+    Only the 5-power part of m iterates: 5 ramifies in Q(sqrt(5)) and the
+    Binet pair is degenerate there, so 5^a goes to the brute-force oracle.
+    The cofactor takes the closed formula over the prime ideals above it.
+    """
     if m < 1:
         raise UsageError("pisano is defined for positive integers")
-    if m == 1:
-        return 1
-    fac = factorize(m)
     fib = fibonacci_tuple()
-    if 5 in fac:
-        # ramified and degenerate at once: only the oracle covers it
-        return period_bruteforce(fib, m).period
-    K = quadratic_field(5)
-    pairs = []
-    for p, e in fac.items():
-        for P in prime_ideals_above(K, p):
-            pairs.append((P, e))
-    return period_formula(fib, pairs).period
+    five = 1
+    while m % 5 == 0:
+        m //= 5
+        five *= 5
+    period = period_bruteforce(fib, five).period if five > 1 else 1
+    if m > 1:
+        rest = period_formula(fib, ideal_factorization(quadratic_field(5), m))
+        period = math.lcm(period, rest.period)
+    return period
 
 
 def divisibility_check(t: RecurrenceTuple, P: PrimeIdealData) -> dict:

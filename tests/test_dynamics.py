@@ -14,8 +14,9 @@ from quadrec.dynamics import (
 )
 from quadrec.errors import (DegenerateInputError, ResourceLimitError,
                             UsageError)
-from quadrec.periods import (fibonacci_tuple, is_degenerate, period_bruteforce,
-                             rational_tuple, standard_battery)
+from quadrec.periods import (RecurrenceTuple, fibonacci_tuple, is_degenerate,
+                             period_bruteforce, rational_tuple,
+                             standard_battery)
 from quadrec.ring import (as_element, field_norm, is_prime, is_torsion,
                           prime_ideals_above, qelem, quadratic_field)
 
@@ -166,6 +167,49 @@ def test_orbit_matches_bruteforce():
             except DegenerateInputError:
                 continue
             assert orbit_period(sys, m) == expect, (t.name, m)
+
+
+def test_orbit_matches_bruteforce_at_ideal_moduli():
+    kinds = set()
+    for t in standard_battery():
+        sys = companion_system(t)
+        for p in range(2, 2001):
+            if not is_prime(p):
+                continue
+            for P in prime_ideals_above(t.field(), p):
+                if P.kind == "ramified":
+                    continue
+                for e in (1, 2):
+                    if P.norm ** e > 2000:
+                        break
+                    try:
+                        expect = period_bruteforce(t, (P, e)).period
+                    except DegenerateInputError:
+                        with pytest.raises(DegenerateInputError):
+                            orbit_period(sys, (P, e))
+                        continue
+                    assert orbit_period(sys, (P, e)) == expect, (t.name, P, e)
+                    kinds.add((P.kind, e))
+    assert kinds == {(k, e) for k in ("rational", "split", "inert")
+                     for e in (1, 2)}
+
+
+def test_orbit_rejects_singular_matrix_at_ideal_moduli():
+    (P3,) = prime_ideals_above(None, 3)
+    with pytest.raises(DegenerateInputError):
+        orbit_period(companion_system(rational_tuple([3], [2])), (P3, 2))
+    (P2,) = prime_ideals_above(None, 2)
+    with pytest.raises(DegenerateInputError):
+        orbit_period(companion_system(rational_tuple([2, 3], [1, 1])), (P2, 1))
+    # roots 2 and phi: c_0 = 2*phi vanishes at the inert prime above 2
+    one = as_element(1, K5)
+    t = RecurrenceTuple((as_element(2, K5), PHI), (one, one))
+    (Q2,) = prime_ideals_above(K5, 2)
+    with pytest.raises(DegenerateInputError):
+        orbit_period(companion_system(t), (Q2, 1))
+    P11 = prime_ideals_above(K5, 11)[0]
+    assert orbit_period(companion_system(t), (P11, 1)) == \
+        period_bruteforce(t, (P11, 1)).period
 
 
 def test_orbit_rejects_singular_matrix():

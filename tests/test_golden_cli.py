@@ -1,8 +1,8 @@
-"""Golden CLI outputs: stdout of six fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of seven fixed commands, pinned byte for byte.
 
 The files under golden/ were captured before the residue kernel moved to
-plain ints; any change to what these commands print shows up here.  All six
-together run in well under two seconds.
+plain ints; any change to what these commands print shows up here.  All
+of them together run in well under two seconds.
 """
 from pathlib import Path
 
@@ -21,6 +21,9 @@ COMMANDS = {
     "certify-base-1-plus-sqrt-2": ["certify", "--base", "1+sqrt(2)",
                                    "--bound", "100000000"],
     "period-lucas-3087": ["period", "--tuple", "lucas", "--mod", "3087"],
+    # 50015 = 5 * 7 * 1429 is degenerate at 5: the CLI iterates all of it
+    "period-fibonacci-50015-json": ["period", "--tuple", "fibonacci",
+                                    "--mod", "50015", "--emit", "json"],
 }
 
 

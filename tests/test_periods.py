@@ -1,11 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from quadrec.errors import DegenerateInputError, ResourceLimitError
+import quadrec.periods
+from quadrec.errors import (DegenerateInputError, InvariantBreachError,
+                            ResourceLimitError)
 from quadrec.periods import (
     PeriodReport,
     RecurrenceTuple,
@@ -14,6 +17,7 @@ from quadrec.periods import (
     char_coefficients,
     divisibility_check,
     fibonacci_tuple,
+    ideal_factorization,
     initial_terms,
     is_degenerate,
     lucas_tuple,
@@ -268,6 +272,33 @@ def test_pisano_matches_iteration(m):
     assert pisano(m) == oracles.pisano_brute(m)
 
 
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=400))
+def test_pisano_five_power_moduli_match_iteration(a, k):
+    # only the 5-power part iterates; the cofactor takes the formula
+    m = 5 ** a * k
+    assert pisano(m) == oracles.pisano_brute(m)
+
+
+def test_pisano_degenerate_modulus_budget():
+    """5 * 1000003 iterates only mod 5; the brute-force route over the whole
+    modulus takes about 10^7 steps."""
+    best = math.inf
+    for _ in range(5):
+        t = time.perf_counter()
+        assert pisano(5 * 1000003) == 10_000_040
+        best = min(best, time.perf_counter() - t)
+    assert best < 0.05, f"pisano(5 * 1000003) took {best * 1e3:.1f} ms"
+
+
+def test_ideal_factorization_ascending():
+    fac = ideal_factorization(K5, 11 ** 2 * 7 * 2)
+    assert [(P.label(), e) for P, e in fac] == [
+        ("2i", 1), ("7i", 1), ("11a", 2), ("11b", 2)]
+    assert [(P.label(), e) for P, e in ideal_factorization(None, 45)] == [
+        ("3", 2), ("5", 1)]
+    assert ideal_factorization(None, 1) == []
+
+
 @given(st.integers(min_value=0, max_value=300))
 def test_pisano_crt_lcm_law(i):
     ps = [p for p in oracles.primes_below(60) if p != 5]
@@ -295,6 +326,28 @@ def test_pisano_prime_power_matches_brute():
     for p in oracles.primes_below(50):
         for e in (1, 2):
             assert pisano_prime_power(p, e) == oracles.pisano_brute(p ** e), (p, e)
+
+
+def test_pisano_prime_power_guard_on_kronecker(monkeypatch):
+    monkeypatch.setattr(quadrec.periods, "kronecker", lambda D, p: 0)
+    with pytest.raises(InvariantBreachError):
+        pisano_prime_power(7, 1)
+
+
+def test_pisano_prime_power_guard_on_multiple(monkeypatch):
+    monkeypatch.setattr(quadrec.periods, "_is_fib_period", lambda k, m: False)
+    with pytest.raises(InvariantBreachError):
+        pisano_prime_power(7, 1)
+
+
+def test_pisano_prime_power_guard_on_lift(monkeypatch):
+    assert pisano_prime_power(7, 2) == 112
+    # periods mod 7 check out, but no multiple is ever a period mod 49
+    monkeypatch.setattr(quadrec.periods, "_is_fib_period",
+                        lambda k, m: m == 7 and _fib_pair(k, m) == (0, 1))
+    assert pisano_prime_power(7, 1) == 16
+    with pytest.raises(InvariantBreachError):
+        pisano_prime_power(7, 2)
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=2, max_value=97))
