@@ -1,8 +1,9 @@
-"""Golden CLI outputs: stdout of seven fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of twenty-one fixed commands, pinned byte for byte.
 
-The files under golden/ were captured before the residue kernel moved to
-plain ints; any change to what these commands print shows up here.  All
-of them together run in well under two seconds.
+Every subcommand and emit format has at least one command here.  The files
+under golden/ were captured before the code they pin was changed; any change
+to what these commands print shows up here.  All of them together run in
+about a second.
 """
 from pathlib import Path
 
@@ -14,16 +15,45 @@ GOLDEN = Path(__file__).parent / "golden"
 
 COMMANDS = {
     "search-wieferich-base-2": ["search-wieferich", "--base", "2", "--to", "20000"],
+    "search-wieferich-base-2-csv": ["search-wieferich", "--base", "2",
+                                    "--to", "20000", "--emit", "csv"],
     "search-wieferich-base-phi": ["search-wieferich", "--base", "(1+sqrt(5))/2",
                                   "--field-d", "5", "--to", "20000"],
+    "search-wieferich-base-phi-csv": ["search-wieferich", "--base",
+                                      "(1+sqrt(5))/2", "--field-d", "5",
+                                      "--to", "20000", "--emit", "csv"],
+    "search-wieferich-base-3-workers-2": ["search-wieferich", "--base", "3",
+                                          "--to", "20000", "--workers", "2"],
     "search-wss": ["search-wss", "--to", "20000"],
+    "search-wss-csv": ["search-wss", "--to", "20000", "--emit", "csv"],
     "certify-base-2": ["certify", "--base", "2", "--bound", "1000000000000"],
+    "certify-base-2-csv": ["certify", "--base", "2", "--bound", "1000000000000",
+                           "--emit", "csv"],
     "certify-base-1-plus-sqrt-2": ["certify", "--base", "1+sqrt(2)",
                                    "--bound", "100000000"],
+    "certify-base-1-plus-sqrt-2-csv": ["certify", "--base", "1+sqrt(2)",
+                                       "--bound", "100000000", "--emit", "csv"],
     "period-lucas-3087": ["period", "--tuple", "lucas", "--mod", "3087"],
     # 50015 = 5 * 7 * 1429 is degenerate at 5: the CLI iterates all of it
     "period-fibonacci-50015-json": ["period", "--tuple", "fibonacci",
                                     "--mod", "50015", "--emit", "json"],
+    # 119 = 7 * 17, both split in Q(sqrt(2)): four ideals on the formula route
+    "period-custom-sqrt-2-119-json": ["period", "--tuple",
+                                      "1+sqrt(2),1-sqrt(2);1,1",
+                                      "--mod", "119", "--emit", "json"],
+    "abc-quality-base-2-csv": ["abc-quality", "--base", "2", "--n-to", "12"],
+    "abc-quality-base-1-plus-sqrt-2-json": ["abc-quality", "--base", "1+sqrt(2)",
+                                            "--n-to", "12", "--emit", "json"],
+    "phi-ratio-base-2-csv": ["phi-ratio", "--base", "2", "--n-to", "12"],
+    "phi-ratio-base-2-json": ["phi-ratio", "--base", "2", "--n-to", "12",
+                              "--emit", "json"],
+    # (1+sqrt(2))^2 * (3-2*sqrt(2)) = 1 is the torsion relation
+    "rank-three-gens-torsion": ["rank", "--gen", "1+sqrt(2)",
+                                "--gen", "3-2*sqrt(2)", "--gen", "2"],
+    "heuristic-2-3-csv": ["heuristic", "--gen", "2", "--gen", "3",
+                          "--bound", "1000"],
+    "heuristic-2-3-json": ["heuristic", "--gen", "2", "--gen", "3",
+                           "--bound", "1000", "--emit", "json"],
 }
 
 
