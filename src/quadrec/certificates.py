@@ -237,19 +237,32 @@ class CertifiedCount:
     count: int
     per_n: tuple[tuple[int, tuple[str, ...]], ...]  # witness index -> kept primes
     skipped: tuple[int, ...]  # indices lost to factorization failure
+    # the kept certificates (norm <= bound), in emission order
+    certificates: tuple[NonWieferichCertificate, ...] = ()
 
 
 def witness_limit(gamma, bound: int,
                   field: Optional[QuadraticField] = None) -> int:
     """Largest admissible witness index: n <= (log bound - log 2)/h(gamma),
-    ties at the boundary included."""
+    ties at the boundary included.
+
+    For rational gamma = a/b, h = log max(|a|, |b|), so the cutoff is the
+    largest n with 2 * max(|a|, |b|)^n <= bound, decided in integers.
+    """
     g = as_element(gamma, field)
     if is_torsion(g):
         raise UsageError("torsion base certifies nothing")
-    h = element_height(g)
-    assert h > 0  # non-torsion algebraic numbers of degree <= 2 have h > 0
     if bound < 2:
         return 0
+    if g.num_b == 0:
+        q = g.as_fraction()
+        M = max(abs(q.numerator), q.denominator)
+        n, edge = 0, 2 * M
+        while edge <= bound:
+            n, edge = n + 1, edge * M
+        return n
+    h = element_height(g)
+    assert h > 0  # non-torsion algebraic numbers of degree <= 2 have h > 0
     return int(math.floor((math.log(bound) - math.log(2)) / h + 1e-9))
 
 
@@ -264,7 +277,7 @@ def certified_count(gamma, bound: int,
     n_max = witness_limit(g, bound)
     seen: dict[str, int] = {}
     kept: set[str] = set()
-    per_n, skipped = [], []
+    per_n, skipped, certs_kept = [], [], []
     for n in range(1, n_max + 1):
         try:
             certs = certificate_for_n(g, n)
@@ -283,5 +296,7 @@ def certified_count(gamma, bound: int,
             if c.prime_ideal.norm <= bound:
                 kept.add(lbl)
                 labels.append(lbl)
+                certs_kept.append(c)
         per_n.append((n, tuple(labels)))
-    return CertifiedCount(str(g), bound, len(kept), tuple(per_n), tuple(skipped))
+    return CertifiedCount(str(g), bound, len(kept), tuple(per_n), tuple(skipped),
+                          tuple(certs_kept))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import re
@@ -20,16 +19,15 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .certificates import certificate_for_n, witness_limit
+from .certificates import certified_count
 from .dynamics import expected_count, multiplicative_rank
-from .errors import (DegenerateInputError, FactorizationError, QuadrecError,
-                     UsageError)
+from .errors import DegenerateInputError, QuadrecError, UsageError
 from .heights import (DEFAULT_PRECISION, abc_quality, phi_norm_ratio, radical,
                       triple_height)
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
 from .ring import QuadraticElement, as_element, quadratic_field, sqrt_element
-from .search import search_range, wall_predicate, wieferich_predicate
+from .search import _dumps, search_range, wall_predicate, wieferich_predicate
 
 PRECISION_ENV = "QUADREC_PRECISION"
 
@@ -133,7 +131,7 @@ class RunConfig:
     precision: int = DEFAULT_PRECISION
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        blob = _dumps(asdict(self))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
@@ -200,28 +198,32 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _canonical_tuple_spec(spec: str, field_d: Optional[int]) -> str:
-    if spec in ("fibonacci", "lucas"):
-        return spec
+_PRESETS = {"fibonacci": fibonacci_tuple, "lucas": lucas_tuple}
+
+
+def _tuple_parts(spec: str, field_d: Optional[int]
+                 ) -> tuple[list[QuadraticElement], list[QuadraticElement]]:
+    """Roots and weights of a 'r1,r2;w1,w2' spec, parsed and checked."""
     if ";" not in spec:
         raise UsageError("tuple must be a preset name or 'roots;weights'")
-    roots_s, weights_s = spec.split(";", 1)
-    roots = [parse_quadratic(s, field_d) for s in roots_s.split(",") if s]
-    weights = [parse_quadratic(s, field_d) for s in weights_s.split(",") if s]
+    roots, weights = ([parse_quadratic(s, field_d) for s in part.split(",") if s]
+                      for part in spec.split(";", 1))
     if not roots or len(roots) != len(weights):
         raise UsageError("tuple needs equally many roots and weights")
-    return (",".join(format_quadratic(r) for r in roots) + ";"
-            + ",".join(format_quadratic(w) for w in weights))
+    return roots, weights
+
+
+def _canonical_tuple_spec(spec: str, field_d: Optional[int]) -> str:
+    if spec in _PRESETS:
+        return spec
+    return ";".join(",".join(format_quadratic(x) for x in xs)
+                    for xs in _tuple_parts(spec, field_d))
 
 
 def _resolve_tuple(spec: str, field_d: Optional[int]) -> RecurrenceTuple:
-    if spec == "fibonacci":
-        return fibonacci_tuple()
-    if spec == "lucas":
-        return lucas_tuple()
-    roots_s, weights_s = spec.split(";", 1)
-    roots = [parse_quadratic(s, field_d) for s in roots_s.split(",") if s]
-    weights = [parse_quadratic(s, field_d) for s in weights_s.split(",") if s]
+    if spec in _PRESETS:
+        return _PRESETS[spec]()
+    roots, weights = _tuple_parts(spec, field_d)
     field = next((x.field for x in roots + weights if x.field is not None), None)
     return RecurrenceTuple(tuple(as_element(r, field) for r in roots),
                            tuple(as_element(w, field) for w in weights),
@@ -281,10 +283,12 @@ def _stringify(v):
 
 
 def _json_line(obj) -> str:
-    return json.dumps(_stringify(obj), sort_keys=True, separators=(",", ":"))
+    return _dumps(_stringify(obj))
 
 
 def _csv_cell(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -294,11 +298,22 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _emit_csv(name: str, header: list[str], rows, out) -> None:
-    print(f"# schema: quadrec.{name}.v1", file=out)
+def _emit(cfg: RunConfig, header: list[str], rows, out,
+          json_tail=None, csv_tail=None) -> None:
+    """Rows as JSON lines keyed by header, or as a CSV stream under the
+    subcommand's schema comment; then the tail line, if any."""
+    if cfg.emit == "json":
+        for row in rows:
+            print(_json_line(dict(zip(header, row))), file=out)
+        if json_tail is not None:
+            print(_json_line(json_tail), file=out)
+        return
+    print(f"# schema: quadrec.{cfg.subcommand}.v1", file=out)
     print(",".join(header), file=out)
     for row in rows:
         print(",".join(_csv_cell(v) for v in row), file=out)
+    if csv_tail is not None:
+        print(csv_tail, file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,92 +337,57 @@ def _cmd_period(cfg: RunConfig, out) -> None:
         print(rep.period, file=out)
 
 
+_HIT_FIELDS = {"search-wss": ["p", "pi_p", "pi_p2"],
+               "search-wieferich": ["p", "ideals", "aggregate"]}
+
+
+def _predicate(kind: str, base: Optional[str], field_d: Optional[int]):
+    if kind == "search-wss":
+        return wall_predicate()
+    return wieferich_predicate(parse_quadratic(base, field_d), field_d)
+
+
 def _scan_shard(spec: tuple) -> tuple[list, int]:
     kind, base, field_d, lo, hi = spec
-    if kind == "wall":
-        pred = wall_predicate()
-    else:
-        pred = wieferich_predicate(parse_quadratic(base, field_d), field_d)
-    ck = search_range(pred, lo, hi)
+    ck = search_range(_predicate(kind, base, field_d), lo, hi)
     return ck.hits, ck.primes_scanned
 
 
-def _cmd_search(cfg: RunConfig, out, kind: str) -> None:
+def _cmd_search(cfg: RunConfig, out) -> None:
     if cfg.workers > 1 and cfg.checkpoint:
         raise UsageError("checkpointing requires --workers 1")
     if cfg.workers == 1:
-        if kind == "wall":
-            pred = wall_predicate()
-        else:
-            pred = wieferich_predicate(parse_quadratic(cfg.base, cfg.field_d),
-                                       cfg.field_d)
-        ck = search_range(pred, cfg.lo, cfg.hi, cfg.checkpoint,
-                          resume=cfg.resume)
+        ck = search_range(_predicate(cfg.subcommand, cfg.base, cfg.field_d),
+                          cfg.lo, cfg.hi, cfg.checkpoint, resume=cfg.resume)
         hits, scanned = ck.hits, ck.primes_scanned
     else:
-        span = cfg.hi - cfg.lo
-        chunk = -(-span // cfg.workers)
-        shards = []
-        for i in range(cfg.workers):
-            a = cfg.lo + i * chunk
-            b = min(cfg.hi, a + chunk)
-            if a < b:
-                shards.append((kind, cfg.base, cfg.field_d, a, b))
+        chunk = max(1, -(-(cfg.hi - cfg.lo) // cfg.workers))
+        shards = [(cfg.subcommand, cfg.base, cfg.field_d, a, min(cfg.hi, a + chunk))
+                  for a in range(cfg.lo, cfg.hi, chunk)]
         hits, scanned = [], 0
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             for shard_hits, shard_scanned in pool.map(_scan_shard, shards):
                 hits.extend(shard_hits)  # shards are ordered, hits stay sorted
                 scanned += shard_scanned
-    if cfg.emit == "json":
-        for hit in hits:
-            print(_json_line(hit), file=out)
-        print(_json_line({"range": [cfg.lo, cfg.hi], "hits": len(hits),
-                          "primes_scanned": scanned}), file=out)
-    else:
-        if kind == "wall":
-            rows = [(h["p"], h["pi_p"], h["pi_p2"]) for h in hits]
-            _emit_csv("search-wss", ["p", "pi_p", "pi_p2"], rows, out)
-        else:
-            rows = [(h["p"], h["ideals"], h["aggregate"]) for h in hits]
-            _emit_csv("search-wieferich", ["p", "ideals", "aggregate"], rows,
-                      out)
-        print(f"# primes_scanned: {scanned}", file=out)
+    header = _HIT_FIELDS[cfg.subcommand]
+    _emit(cfg, header, [[h[k] for k in header] for h in hits], out,
+          json_tail={"range": [cfg.lo, cfg.hi], "hits": len(hits),
+                     "primes_scanned": scanned},
+          csv_tail=f"# primes_scanned: {scanned}")
 
 
 def _cmd_certify(cfg: RunConfig, out) -> None:
     g = parse_quadratic(cfg.base, cfg.field_d)
+    cc = certified_count(g, cfg.bound)
+    gamma = format_quadratic(g)
     field_d = g.field.d if g.field is not None else None
-    n_max = witness_limit(g, cfg.bound)
-    kept = set()
-    skipped = []
-    rows = []
-    for n in range(1, n_max + 1):
-        try:
-            certs = certificate_for_n(g, n)
-        except FactorizationError:
-            skipped.append(n)
-            continue
-        for c in certs:
-            if c.prime_ideal.norm > cfg.bound:
-                continue
-            kept.add(c.prime_ideal.label())
-            rows.append({
-                "gamma": format_quadratic(g), "field_d": field_d,
-                "n": c.n, "p": c.p, "ideal_kind": c.prime_ideal.kind,
-                "order_check": c.order_check, "square_check": c.square_check,
-            })
-    if cfg.emit == "json":
-        for row in rows:
-            print(_json_line(row), file=out)
-        print(_json_line({"bound": cfg.bound, "certified": len(kept),
-                          "skipped": skipped}), file=out)
-    else:
-        header = ["gamma", "field_d", "n", "p", "ideal_kind", "order_check",
-                  "square_check"]
-        _emit_csv("certify", header,
-                  [tuple("" if r[k] is None else r[k] for k in header)
-                   for r in rows], out)
-        print(f"# certified: {len(kept)}", file=out)
+    rows = [(gamma, field_d, c.n, c.p, c.prime_ideal.kind, c.order_check,
+             c.square_check) for c in cc.certificates]
+    _emit(cfg, ["gamma", "field_d", "n", "p", "ideal_kind", "order_check",
+                "square_check"], rows, out,
+          json_tail={"bound": cfg.bound, "certified": cc.count,
+                     "skipped": cc.skipped},
+          csv_tail=f"# certified: {cc.count}")
 
 
 def _cmd_abc_quality(cfg: RunConfig, out) -> None:
@@ -424,11 +404,7 @@ def _cmd_abc_quality(cfg: RunConfig, out) -> None:
         r = radical(*triple, precision=cfg.precision)
         q = abc_quality(*triple, precision=cfg.precision)
         rows.append((n, h, r, q))
-    if cfg.emit == "csv":
-        _emit_csv("abc-quality", ["n", "h", "rad", "q"], rows, out)
-    else:
-        for n, h, r, q in rows:
-            print(_json_line({"n": n, "h": h, "rad": r, "q": q}), file=out)
+    _emit(cfg, ["n", "h", "rad", "q"], rows, out)
 
 
 def _cmd_phi_ratio(cfg: RunConfig, out) -> None:
@@ -437,12 +413,7 @@ def _cmd_phi_ratio(cfg: RunConfig, out) -> None:
     for n in range(cfg.n_from, cfg.n_to + 1):
         pr = phi_norm_ratio(g, n, precision=cfg.precision)
         rows.append((n, pr.ratio, pr.target))
-    if cfg.emit == "csv":
-        _emit_csv("phi-ratio", ["n", "ratio", "target"], rows, out)
-    else:
-        for n, ratio, target in rows:
-            print(_json_line({"n": n, "ratio": ratio, "target": target}),
-                  file=out)
+    _emit(cfg, ["n", "ratio", "target"], rows, out)
 
 
 def _cmd_rank(cfg: RunConfig, out) -> None:
@@ -467,34 +438,18 @@ def _cmd_heuristic(cfg: RunConfig, out) -> None:
         y *= 10
     if cfg.bound >= 2:
         ys.append(cfg.bound)
-    rows = [(y, expected_count(gens, y)) for y in ys]
-    if cfg.emit == "csv":
-        _emit_csv("heuristic", ["Y", "expected_count"], rows, out)
-    else:
-        for y, v in rows:
-            print(_json_line({"Y": y, "expected_count": v}), file=out)
+    _emit(cfg, ["Y", "expected_count"],
+          [(y, expected_count(gens, y)) for y in ys], out)
+
+
+_HANDLERS = {"period": _cmd_period, "search-wss": _cmd_search,
+             "search-wieferich": _cmd_search, "certify": _cmd_certify,
+             "abc-quality": _cmd_abc_quality, "phi-ratio": _cmd_phi_ratio,
+             "rank": _cmd_rank, "heuristic": _cmd_heuristic}
 
 
 def run(cfg: RunConfig, out=None) -> int:
-    out = out or sys.stdout
-    if cfg.subcommand == "period":
-        _cmd_period(cfg, out)
-    elif cfg.subcommand == "search-wss":
-        _cmd_search(cfg, out, "wall")
-    elif cfg.subcommand == "search-wieferich":
-        _cmd_search(cfg, out, "wieferich")
-    elif cfg.subcommand == "certify":
-        _cmd_certify(cfg, out)
-    elif cfg.subcommand == "abc-quality":
-        _cmd_abc_quality(cfg, out)
-    elif cfg.subcommand == "phi-ratio":
-        _cmd_phi_ratio(cfg, out)
-    elif cfg.subcommand == "rank":
-        _cmd_rank(cfg, out)
-    elif cfg.subcommand == "heuristic":
-        _cmd_heuristic(cfg, out)
-    else:  # unreachable: argparse restricts the choices
-        raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+    _HANDLERS[cfg.subcommand](cfg, out or sys.stdout)
     return 0
 
 

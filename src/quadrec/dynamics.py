@@ -16,11 +16,12 @@ from typing import Optional, Sequence
 from .errors import (DegenerateInputError, InvariantBreachError,
                      ResourceLimitError, UsageError)
 from .heights import local_values
-from .periods import (RecurrenceTuple, _to_pair, char_coefficients,
-                      ideal_factorization, initial_terms, period_formula)
+from .periods import (RecurrenceTuple, _state_period, _to_pair,
+                      char_coefficients, ideal_factorization, initial_terms,
+                      period_formula)
 from .ring import (PrimeIdealData, QuadraticElement, QuadraticField,
-                   as_element, ideal_factors, is_prime, is_torsion,
-                   prime_ideals_above, reduce)
+                   as_element, ideal_factors, is_torsion, prime_ideals_above,
+                   primes_below, reduce)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
 
@@ -172,9 +173,7 @@ def expected_count(a, Y: int, field: Optional[QuadraticField] = None) -> float:
         degenerate |= {P.label() for P, _ in ideal_factors(g)}
     f = gens[0].field
     total = 0.0
-    for p in range(2, Y + 1):
-        if not is_prime(p):
-            continue
+    for p in primes_below(Y + 1):
         for P in prime_ideals_above(f, p):
             if P.kind == "ramified" or P.norm > Y or P.label() in degenerate:
                 continue
@@ -276,19 +275,17 @@ def _mat_pow(ring, M, k):
 def orbit_period(sys: CompanionSystem, modulus,
                  budget: int = 10 ** 7) -> int:
     """Smallest k >= 1 with M^k q0 = q0, by iteration, then confirmed by an
-    independent binary matrix power."""
+    independent binary matrix power.
+
+    M is a companion matrix, so M q shifts the state and appends the
+    recurrence step: the iteration is the state loop of the period oracle.
+    """
     if isinstance(modulus, int) and modulus == 1:
         return 1
     ring = _OrbitRing(sys.source.field(), modulus, sys.coefficients[0])
     M = tuple(tuple(ring.embed(x) for x in row) for row in sys.matrix)
     q0 = tuple(ring.embed(x) for x in sys.q0)
-    q = _mat_vec(ring, M, q0)
-    k = 1
-    while q != q0:
-        q = _mat_vec(ring, M, q)
-        k += 1
-        if k > budget:
-            raise ResourceLimitError(f"no orbit return within {budget} steps")
+    k = _state_period(list(M[-1]), list(q0), ring.tr, ring.nm, ring.mod, budget)
     Mk = _mat_pow(ring, M, k)
     if _mat_vec(ring, Mk, q0) != q0:
         raise InvariantBreachError("orbit return failed the matrix-power check")

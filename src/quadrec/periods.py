@@ -260,6 +260,21 @@ def _pair_state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
             raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
 
 
+def _state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
+                  t: int, n: int, mod: int, budget: Optional[int] = None) -> int:
+    """First return of a state of (u, v) pairs mod `mod`, w^2 = t*w - n.
+
+    All-rational states (every v = 0) take the integer loop.  The default
+    budget is 6 times the square of the state space of one entry: 6*mod^2
+    for integers, 6*mod^4 for pairs.
+    """
+    if all(v == 0 for _, v in cs + xs):
+        return _int_state_period([u for u, _ in cs], [u for u, _ in xs], mod,
+                                 6 * mod ** 2 if budget is None else budget)
+    return _pair_state_period(cs, xs, t, n, mod,
+                              6 * mod ** 4 if budget is None else budget)
+
+
 def _to_pair(x: QuadraticElement, mod: int) -> tuple[int, int]:
     if math.gcd(x.den, mod) != 1:
         raise DegenerateInputError(f"denominator {x.den} not invertible mod {mod}")
@@ -283,19 +298,9 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
         rx = [reduce(x, (P, e)) for x in init]
         if not rc[0].is_unit():
             raise DegenerateInputError(f"constant coefficient not a unit mod {label}")
-        pe = P.p ** e
-        if all(r.v == 0 for r in rc + rx):
-            size = pe
-            budget = 6 * size * size
-            k = _int_state_period([r.u for r in rc], [r.u for r in rx], pe, budget)
-        else:
-            K = P.field
-            size = pe * pe
-            budget = 6 * size * size
-            k = _pair_state_period(
-                [(r.u, r.v) for r in rc], [(r.u, r.v) for r in rx],
-                K.omega_trace, K.omega_norm, pe, budget,
-            )
+        ring = rc[0].ring
+        k = _state_period([(r.u, r.v) for r in rc], [(r.u, r.v) for r in rx],
+                          ring.t, ring.n, ring.pe)
         return PeriodReport(label, k, (), "brute_force")
     if m < 1:
         raise UsageError("modulus must be a positive integer")
@@ -304,18 +309,11 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     pc = [_to_pair(c, m) for c in coeffs]
     px = [_to_pair(x, m) for x in init]
     K = t.field()
-    c0_norm = pc[0][0] if K is None else (
-        pc[0][0] ** 2 + K.omega_trace * pc[0][0] * pc[0][1]
-        + K.omega_norm * pc[0][1] ** 2
-    )
-    if math.gcd(c0_norm, m) != 1:
+    tr, nm = (K.omega_trace, K.omega_norm) if K is not None else (0, 0)
+    u, v = pc[0]
+    if math.gcd(u * u + tr * u * v + nm * v * v, m) != 1:  # the norm of c0
         raise DegenerateInputError(f"constant coefficient not a unit mod {m}")
-    if all(v == 0 for _, v in pc + px):
-        budget = 6 * m * m
-        k = _int_state_period([u for u, _ in pc], [u for u, _ in px], m, budget)
-    else:
-        budget = 6 * m ** 4
-        k = _pair_state_period(pc, px, K.omega_trace, K.omega_norm, m, budget)
+    k = _state_period(pc, px, tr, nm, m)
     return PeriodReport(str(m), k, (), "brute_force")
 
 

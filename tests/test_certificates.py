@@ -15,6 +15,7 @@ from quadrec.certificates import (
     ideal_split,
     numerator_denominator,
     squarefree_part,
+    witness_limit,
 )
 from quadrec.errors import FactorizationError, InvariantBreachError, UsageError
 from quadrec.ring import (as_element, field_norm, prime_ideals_above, qelem,
@@ -216,6 +217,27 @@ def test_certified_count_frozen():
     assert got == {1: set(), 2: {"3"}, 3: {"7"}, 4: {"5"}, 5: {"31"},
                    6: set(), 7: {"127"}, 8: {"17"}}
     assert cc.skipped == ()
+
+
+def test_certified_count_keeps_certificates_in_order():
+    cc = certified_count(2, 100)
+    assert [(c.n, c.p) for c in cc.certificates] == [(2, 3), (3, 7), (4, 5),
+                                                     (5, 31)]
+    assert [c.prime_ideal.label() for c in cc.certificates] == [
+        lbl for _, labels in cc.per_n for lbl in labels]
+    assert all(c.prime_ideal.norm <= 100 for c in cc.certificates)
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 7, Fraction(3, 2), Fraction(-5, 3),
+                                   Fraction(1, 2)])
+@pytest.mark.parametrize("n", [1, 5, 29, 60])
+def test_witness_limit_exact_at_rational_boundary(gamma, n):
+    # the cutoff is the largest n with 2 * max(|a|, |b|)^n <= bound
+    q = Fraction(gamma)
+    edge = 2 * max(abs(q.numerator), q.denominator) ** n
+    assert witness_limit(gamma, edge) == n
+    assert witness_limit(gamma, edge + 1) == n
+    assert witness_limit(gamma, edge - 1) == n - 1
 
 
 def test_certified_count_small_bounds():

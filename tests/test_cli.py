@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from quadrec.cli import (RunConfig, format_quadratic, main, parse_args,
                          parse_quadratic)
+from quadrec.certificates import NonWieferichCertificate, certified_count
 from quadrec.dynamics import expected_count
 from quadrec.errors import (CheckpointError, FactorizationError, QuadrecError,
                             ResourceLimitError, UsageError)
-from quadrec.ring import as_element, qelem, quadratic_field, sqrt_element
+from quadrec.ring import (as_element, prime_ideals_above, qelem,
+                          quadratic_field, sqrt_element)
 
 K5 = quadratic_field(5)
 K2 = quadratic_field(2)
@@ -206,6 +208,32 @@ def test_certify_quadratic_base_csv(capsys):
 def test_certify_torsion_base_exits_2(capsys):
     code, _, err = run_cli(capsys, "certify", "--base", "-1", "--bound", "100")
     assert code == 2 and "error:" in err
+
+
+def test_certify_prints_certified_count(capsys):
+    code, out, _ = run_cli(capsys, "certify", "--base", "3/2",
+                           "--bound", "10000000")
+    assert code == 0
+    *rows, tail = [json.loads(line) for line in out.splitlines()]
+    cc = certified_count(Fraction(3, 2), 10 ** 7)
+    assert tail == {"bound": "10000000", "certified": str(cc.count),
+                    "skipped": [str(n) for n in cc.skipped]}
+    assert [(r["n"], r["p"]) for r in rows] == [
+        (str(c.n), str(c.p)) for c in cc.certificates]
+
+
+def test_certify_prime_certified_twice_exits_1(monkeypatch, capsys):
+    # the library's double-certification guard reaches the CLI unchanged
+    import quadrec.certificates as mod
+
+    P7 = prime_ideals_above(None, 7)[0]
+
+    def forged(gamma, n, field=None):
+        return [NonWieferichCertificate(7, P7, n, n, 1)]
+
+    monkeypatch.setattr(mod, "certificate_for_n", forged)
+    code, out, err = run_cli(capsys, "certify", "--base", "2", "--bound", "100")
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_search_wieferich_known_hits(capsys):
