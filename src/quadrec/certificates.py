@@ -13,17 +13,18 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
-from .heights import element_height
 from .periods import multiplicative_order
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
     QuadraticField,
+    ResidueElement,
     as_element,
     factorize,
     ideal_factors,
     is_torsion,
     reduce,
+    residue_pow,
 )
 from .wieferich import fermat_quotient_residue
 
@@ -36,8 +37,10 @@ class IdealFactorization:
 
     def __post_init__(self):
         labels = [P.label() for P, _ in self.factors]
-        assert labels == sorted(labels, key=lambda s: (len(s), s))
-        assert all(e > 0 for _, e in self.factors)
+        if labels != sorted(labels, key=lambda s: (len(s), s)):
+            raise InvariantBreachError(f"ideal factors out of order: {labels}")
+        if any(e <= 0 for _, e in self.factors):
+            raise InvariantBreachError("ideal factor with a non-positive exponent")
 
     def support(self) -> set[str]:
         return {P.label() for P, _ in self.factors}
@@ -90,12 +93,14 @@ def _poly_divexact(num, den):
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise InvariantBreachError("inexact polynomial division")
         q[k] = c // den[-1]
         if q[k]:
             for j, dj in enumerate(den):
                 num[k + j] -= q[k] * dj
-    assert not any(num), "inexact polynomial division"
+    if any(num):
+        raise InvariantBreachError("inexact polynomial division")
     return q
 
 
@@ -152,21 +157,25 @@ class IdealSplit:
 
 def ideal_split(gamma, n: int, mode: str,
                 field: Optional[QuadraticField] = None) -> IdealSplit:
-    """Split the ideal of gamma^n - 1 or Phi_n(gamma) by valuation profile."""
+    """Split the ideal of gamma^n - 1 or Phi_n(gamma) by valuation profile.
+
+    In cyclotomic mode every prime of N(Phi_n(gamma))'s numerator divides n
+    or has norm 1 mod n, so its factorization runs with index = n.
+    """
     g = as_element(gamma, field)
     if is_torsion(g):
         raise UsageError("torsion base: the split degenerates")
     if n < 1:
         raise UsageError("index must be >= 1")
     if mode == "power":
-        value = g ** n - 1
+        value, index = g ** n - 1, 1
     elif mode == "cyclotomic":
-        value = cyclotomic_value(g, n)
+        value, index = cyclotomic_value(g, n), n
     else:
         raise UsageError(f"unknown mode {mode!r}")
     u, v, w = [], [], []
     if not value.is_zero():
-        for P, val in ideal_factors(value):
+        for P, val in ideal_factors(value, index=index):
             if val == 1:
                 u.append((P, 1))
             elif val >= 2:
@@ -182,7 +191,7 @@ class NonWieferichCertificate:
     p: int
     prime_ideal: PrimeIdealData
     n: int
-    order: int  # measured multiplicative order of the base at the prime
+    order: int  # multiplicative order of the base at the prime, proven = n
     k_p: int    # measured Fermat quotient
 
     @property
@@ -201,7 +210,9 @@ def certificate_for_n(gamma, n: int,
 
     Filter: prime unramified, p does not divide n, prime outside the support
     of the numerator and denominator ideals of gamma.  Every survivor is then
-    verified on both claims; a verification failure is a library bug.
+    verified on both claims; a verification failure is a library bug.  The
+    order is proven equal to n from gamma^n = 1 and gamma^(n/r) != 1 (mod P)
+    for each prime r | n, so N(P) +- 1 is never factored.
     """
     g = as_element(gamma, field)
     if is_torsion(g):
@@ -209,25 +220,36 @@ def certificate_for_n(gamma, n: int,
     split = ideal_split(g, n, "cyclotomic")
     I, J = numerator_denominator(g)
     banned = I.support() | J.support()
+    n_primes = tuple(factorize(n))
     out = []
     for P, val in split.u_part.factors:
-        assert val == 1
+        if val != 1:
+            raise InvariantBreachError(
+                f"valuation {val} at {P.label()} in the u-part, n={n}"
+            )
         if P.kind == "ramified":
             continue  # no order/Wieferich verdicts at ramified primes
         if n % P.p == 0 or P.label() in banned:
             continue
-        order = multiplicative_order(reduce(g, (P, 1)))
-        k_p = fermat_quotient_residue(g, P)
-        if order != n:
+        x = reduce(g, (P, 1))
+        if not _has_order(x, n, n_primes):
             raise InvariantBreachError(
-                f"certificate order failure at {P.label()}: ord={order}, n={n}"
+                f"certificate order failure at {P.label()}: "
+                f"ord={multiplicative_order(x)}, n={n}"
             )
+        k_p = fermat_quotient_residue(g, P)
         if k_p == 0:
             raise InvariantBreachError(
                 f"certificate found a Wieferich prime at {P.label()}, n={n}"
             )
-        out.append(NonWieferichCertificate(P.p, P, n, order, k_p))
+        out.append(NonWieferichCertificate(P.p, P, n, n, k_p))
     return out
+
+
+def _has_order(x: ResidueElement, n: int, n_primes) -> bool:
+    """ord(x) = n, given the primes of n: x^n = 1 and no x^(n/r) = 1."""
+    return residue_pow(x, n).is_one() and not any(
+        residue_pow(x, n // r).is_one() for r in n_primes)
 
 
 @dataclass(frozen=True)
@@ -246,24 +268,50 @@ def witness_limit(gamma, bound: int,
     """Largest admissible witness index: n <= (log bound - log 2)/h(gamma),
     ties at the boundary included.
 
-    For rational gamma = a/b, h = log max(|a|, |b|), so the cutoff is the
-    largest n with 2 * max(|a|, |b|)^n <= bound, decided in integers.
+    With d = [Q(gamma):Q] and M the Mahler measure of gamma's primitive
+    minimal polynomial, h(gamma) = log(M)/d, so the cutoff is the largest n
+    with 2^d * M^n <= bound^d, decided in integers.  M = max(|a|, |b|) for
+    gamma = a/b.  For a*x^2 + b*x + c with discriminant D, M is the largest
+    of a and |c|, and also of (|b| + sqrt(D))/2 when D > 0; that candidate
+    is compared through (|b| + sqrt(D))^n = U + V*sqrt(D).
     """
     g = as_element(gamma, field)
     if is_torsion(g):
         raise UsageError("torsion base certifies nothing")
+    if g.is_zero():
+        raise UsageError("zero base certifies nothing")
     if bound < 2:
         return 0
     if g.num_b == 0:
         q = g.as_fraction()
-        M = max(abs(q.numerator), q.denominator)
-        n, edge = 0, 2 * M
-        while edge <= bound:
-            n, edge = n + 1, edge * M
-        return n
-    h = element_height(g)
-    assert h > 0  # non-torsion algebraic numbers of degree <= 2 have h > 0
-    return int(math.floor((math.log(bound) - math.log(2)) / h + 1e-9))
+        deg, ms, b, D = 1, (abs(q.numerator), q.denominator), 0, 0
+    else:
+        a, b, c = _min_poly(g)
+        deg, ms, b, D = 2, (a, abs(c)), abs(b), b * b - 4 * a * c
+    cap = bound ** deg
+    edges = [2 ** deg] * len(ms)  # 2^d * m^n for each integer candidate m
+    U, V = 2 ** deg, 0            # 2^d * (|b| + sqrt(D))^n = U + V*sqrt(D)
+    n = 0
+    while True:
+        edges = [e * m for e, m in zip(edges, ms)]
+        if any(e > cap for e in edges):
+            return n
+        if D > 0:
+            U, V = U * b + V * D, U + V * b
+            room = (cap << (n + 1)) - U  # 2^d*((|b|+sqrt D)/2)^(n+1) <= cap
+            if room < 0 or V * V * D > room * room:
+                return n
+        n += 1
+
+
+def _min_poly(g: QuadraticElement) -> tuple[int, int, int]:
+    """(a, b, c), a > 0, of the primitive minimal polynomial of an
+    irrational quadratic g = (A + B*w)/den."""
+    t, nw = g.field.omega_trace, g.field.omega_norm
+    A, B, den = g.num_a, g.num_b, g.den
+    a, b, c = den * den, -den * (2 * A + t * B), A * A + t * A * B + nw * B * B
+    k = math.gcd(math.gcd(a, b), c)
+    return a // k, b // k, c // k
 
 
 def certified_count(gamma, bound: int,

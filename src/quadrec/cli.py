@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .certificates import certified_count
-from .dynamics import expected_count, multiplicative_rank
+from .dynamics import expected_counts, multiplicative_rank
 from .errors import DegenerateInputError, QuadrecError, UsageError
 from .heights import (DEFAULT_PRECISION, abc_quality, phi_norm_ratio, radical,
                       triple_height)
@@ -439,7 +439,7 @@ def _cmd_heuristic(cfg: RunConfig, out) -> None:
     if cfg.bound >= 2:
         ys.append(cfg.bound)
     _emit(cfg, ["Y", "expected_count"],
-          [(y, expected_count(gens, y)) for y in ys], out)
+          list(zip(ys, expected_counts(gens, ys))), out)
 
 
 _HANDLERS = {"period": _cmd_period, "search-wss": _cmd_search,

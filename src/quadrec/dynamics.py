@@ -166,19 +166,36 @@ def multiplicative_rank(a, field: Optional[QuadraticField] = None
 def expected_count(a, Y: int, field: Optional[QuadraticField] = None) -> float:
     """Sum of N(P)^(-r) over admissible primes of norm at most Y, where r is
     the free rank of the group generated by a; split primes count per ideal."""
+    return expected_counts(a, [Y], field)[0]
+
+
+def expected_counts(a, Ys: Sequence[int],
+                    field: Optional[QuadraticField] = None) -> list[float]:
+    """expected_count(a, Y) for every Y in Ys, from one prime pass.
+
+    Each total adds its own terms in the order expected_count(a, Y) adds
+    them, so every float is bit-identical to the one-Y call.
+    """
+    if not Ys:
+        return []
     gens = _coerce_generators(a, field)
     r = multiplicative_rank(gens).free_rank
     degenerate = set()
     for g in gens:
         degenerate |= {P.label() for P, _ in ideal_factors(g)}
     f = gens[0].field
-    total = 0.0
-    for p in primes_below(Y + 1):
+    ys = sorted(set(Ys), reverse=True)
+    totals = dict.fromkeys(ys, 0.0)
+    for p in primes_below(ys[0] + 1):
         for P in prime_ideals_above(f, p):
-            if P.kind == "ramified" or P.norm > Y or P.label() in degenerate:
+            if P.kind == "ramified" or P.label() in degenerate:
                 continue
-            total += P.norm ** (-r)
-    return total
+            term = P.norm ** (-r)
+            for y in ys:  # every Y >= N(P), largest first
+                if P.norm > y:
+                    break
+                totals[y] += term
+    return [totals[y] for y in Ys]
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,21 @@ Everything here is immutable and pure; values can be shared freely.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DegenerateInputError, FactorizationError, UsageError
+from .errors import (DegenerateInputError, FactorizationError,
+                     InvariantBreachError, UsageError)
 
 Rational = Union[int, Fraction]
 
 # Trial division handles prime factors below this bound deterministically;
 # Pollard rho (Brent variant) takes over beyond it.
 TRIAL_LIMIT = 10 ** 6
+_TRIAL_SQ = TRIAL_LIMIT ** 2
 DEFAULT_RHO_BUDGET = 2_000_000
 
 # Trial division by every prime through 61 runs first, so no Miller-Rabin
@@ -38,8 +41,6 @@ _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Beyond the proven bound: a fixed wider battery, deterministic but heuristic.
 _MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)  # gaps between 30k+{7,11,13,17,19,23,29,31}
 
 
 # ---------------------------------------------------------------------------
@@ -131,31 +132,81 @@ def _pollard_brent(n: int, budget: int) -> int:
     raise FactorizationError(f"no factor of {n} found (parameter sweep exhausted)")
 
 
-def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict[int, int]:
+@functools.lru_cache(maxsize=256)
+def _trial_wheel(index: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Trial divisors for inputs whose prime factors q divide index or have
+    q^2 = 1 (mod index): the primes tried first (2, 3, 5 and those of index),
+    then the first wheel candidate and the cyclic gaps between candidates.
+
+    Candidates are the m >= 7 prime to 30 with m^2 = 1 (mod index); they
+    repeat with period lcm(30, index).  index = 1 gives the 30-wheel.
+    """
+    if index < 1:
+        raise ValueError("factorize index must be a positive integer")
+    first = (2, 3, 5)
+    if index > 1:
+        first = tuple(sorted(set(first) | set(factorize(index))))
+    period = 30 * index // math.gcd(30, index)
+    roots = [r for r in range(index) if r * r % index == 1 % index]
+    cands = sorted(m for r in roots
+                   for m in range(7 + (r - 7) % index, 7 + period, index)
+                   if math.gcd(m, 30) == 1)
+    gaps = [b - a for a, b in zip(cands, cands[1:])]
+    gaps.append(cands[0] + period - cands[-1])
+    return first, cands[0], tuple(gaps)
+
+
+_WHEEL = _trial_wheel(1)
+
+
+def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
+              index: int = 1) -> dict[int, int]:
     """Full prime factorization {p: e} of n >= 1.
 
     Trial division below TRIAL_LIMIT, Pollard rho above; an unfactorable
     cofactor raises FactorizationError rather than returning a guess.
+
+    index states a fact about n: every prime factor q of n divides index or
+    has q^2 = 1 (mod index).  The numerator of N(Phi_k(gamma)) satisfies it
+    for index = k (a prime ideal above q that divides Phi_k(gamma) with
+    q prime to k has norm q or q^2 = 1 mod k), and trial division then
+    walks only those residue classes.  index = 1 claims nothing.  With
+    index > 1 every returned factor is re-checked for primality and for the
+    class rule, so a false claim raises InvariantBreachError instead of
+    returning a wrong factorization.
     """
     if n < 1:
         raise ValueError("factorize is defined for positive integers")
+    first, m, gaps = _WHEEL if index == 1 else _trial_wheel(index)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in first:
         if n % p == 0:
             out[p] = _vp(n, p)
             n //= p ** out[p]
-    m, i = 7, 0
-    while m * m <= n and m < TRIAL_LIMIT:
-        if n % m == 0:
-            out[m] = _vp(n, m)
-            n //= m ** out[m]
-        m += _WHEEL[i]
-        i = (i + 1) & 7
+    # m runs through the candidates while m <= min(sqrt(n), TRIAL_LIMIT - 1)
+    lim = math.isqrt(n) if n < _TRIAL_SQ else TRIAL_LIMIT - 1
+    while m <= lim:
+        for gap in gaps:
+            if not n % m:
+                out[m] = _vp(n, m)
+                n //= m ** out[m]
+                lim = math.isqrt(n) if n < _TRIAL_SQ else TRIAL_LIMIT - 1
+            m += gap
+            if m > lim:
+                break
     if n > 1:
         if m * m > n:
             out[n] = out.get(n, 0) + 1
         else:
             _factor_large(n, out, rho_budget)
+    if index > 1:
+        bad = [q for q in out
+               if not ((index % q == 0 or q * q % index == 1) and is_prime(q))]
+        if bad:
+            raise InvariantBreachError(
+                f"factors {bad} are not primes in the classes q | {index} "
+                f"or q^2 = 1 (mod {index})"
+            )
     return dict(sorted(out.items()))
 
 
@@ -164,7 +215,8 @@ def _factor_large(n: int, out: dict[int, int], budget: int) -> None:
         out[n] = out.get(n, 0) + 1
         return
     d = _pollard_brent(n, budget)
-    assert 1 < d < n
+    if not 1 < d < n:
+        raise InvariantBreachError(f"rho returned {d}, not a proper factor of {n}")
     _factor_large(d, out, budget)
     _factor_large(n // d, out, budget)
 
@@ -608,12 +660,18 @@ def quad_valuation(x: QuadraticElement, P: PrimeIdealData) -> int:
     return vnum - vden
 
 
-def ideal_factors(x: QuadraticElement) -> list[tuple[PrimeIdealData, int]]:
-    """(P, v_P(x)) over every prime with nonzero valuation, sorted by p."""
+def ideal_factors(x: QuadraticElement,
+                  index: int = 1) -> list[tuple[PrimeIdealData, int]]:
+    """(P, v_P(x)) over every prime with nonzero valuation, sorted by p.
+
+    index is passed to factorize for the numerator of N(x) only (see there);
+    the denominator is always factored without a claim.
+    """
     if x.is_zero():
         raise ValueError("zero has no ideal factorization")
     nrm = field_norm(x)
-    support = set(factorize(abs(nrm.numerator))) | set(factorize(nrm.denominator))
+    support = (set(factorize(abs(nrm.numerator), index=index))
+               | set(factorize(nrm.denominator)))
     out = []
     for p in sorted(support):
         for P in prime_ideals_above(x.field, p):

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadrec.certificates import (
     CertifiedCount,
+    IdealFactorization,
     NonWieferichCertificate,
     certificate_for_n,
     certified_count,
@@ -18,9 +21,11 @@ from quadrec.certificates import (
     witness_limit,
 )
 from quadrec.errors import FactorizationError, InvariantBreachError, UsageError
+from quadrec.periods import multiplicative_order
 from quadrec.ring import (as_element, field_norm, prime_ideals_above, qelem,
-                          quadratic_field)
+                          quadratic_field, reduce)
 
+K2 = quadratic_field(2)
 K5 = quadratic_field(5)
 PHI = qelem(K5, 0, 1)
 
@@ -264,10 +269,10 @@ def test_certified_count_skip_on_factorization_failure(monkeypatch):
     real = mod.ideal_factors
     bad = as_element(5)  # the value Phi_4(2)
 
-    def flaky(x):
+    def flaky(x, *a, **k):
         if x == bad:
             raise FactorizationError("synthetic budget failure")
-        return real(x)
+        return real(x, *a, **k)
 
     monkeypatch.setattr(mod, "ideal_factors", flaky)
     notes = []
@@ -303,3 +308,99 @@ def test_power_split_u_primes_have_order_dividing_n(g, n):
     for P, _ in s.u_part.factors:
         if g % P.p:
             assert pow(g, n, P.p) == 1
+
+
+@pytest.mark.parametrize("k", range(1, 40))
+def test_witness_limit_exact_at_quadratic_boundary(k):
+    # 3+sqrt(2) has minimal polynomial x^2 - 6x + 7 with both roots above 1,
+    # so M = 7 and the cutoff is the largest n with 4 * 7^n <= bound^2
+    g = qelem(K2, 3, 1)
+    edge = 2 * 7 ** k
+    assert witness_limit(g, edge) == 2 * k
+    assert witness_limit(g, edge + 1) == 2 * k
+    assert witness_limit(g, edge - 1) == 2 * k - 1
+
+
+def _height_oracle(g) -> mpmath.mpf:
+    """h(g) = log(M)/2 from the roots of g's minimal polynomial, at 600 bits."""
+    t, nw = g.field.omega_trace, g.field.omega_norm
+    A, B, den = g.num_a, g.num_b, g.den
+    a, b, c = den * den, -den * (2 * A + t * B), A * A + t * A * B + nw * B * B
+    k = math.gcd(math.gcd(a, b), c)
+    a, b, c = a // k, b // k, c // k
+    s = mpmath.sqrt(b * b - 4 * a * c)  # complex when D < 0
+    roots = ((-b + s) / (2 * a), (-b - s) / (2 * a))
+    M = a * mpmath.fprod(max(1, abs(r)) for r in roots)
+    return mpmath.log(M) / 2
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([(2, 1, 1), (5, 0, 1), (3, 2, 1), (2, 1, 3), (13, 1, 2),
+                        (-1, 1, 2), (-3, 2, 1), (5, 1, -3)]),
+       st.integers(1, 200), st.integers(-2, 2))
+def test_witness_limit_matches_high_precision_heights(base, n, delta):
+    # bounds next to 2*H^n, where the old float cutoff could misjudge
+    d, a, b = base
+    g = qelem(quadratic_field(d), a, b)
+    with mpmath.workprec(600):
+        h = _height_oracle(g)
+        bound = int(mpmath.floor(2 * mpmath.exp(n * h))) + delta
+        assume(bound >= 2)
+        x = (mpmath.log(bound) - mpmath.log(2)) / h
+        assume(abs(x - mpmath.nint(x)) > mpmath.mpf(10) ** -100)  # no exact tie
+        assert witness_limit(g, bound) == int(mpmath.floor(x))
+
+
+def test_witness_limit_rejects_zero_base():
+    with pytest.raises(UsageError):
+        witness_limit(0, 100)
+
+
+def test_order_proof_agrees_with_measured_order():
+    # certificate_for_n proves ord = n from n's primes; the stripping route
+    # of periods.multiplicative_order must measure the same order
+    for g in (as_element(2), qelem(K2, 1, 1)):
+        seen = 0
+        for n in range(1, 61):
+            for c in certificate_for_n(g, n):
+                assert c.order == n
+                assert multiplicative_order(reduce(g, (c.prime_ideal, 1))) == n
+                seen += 1
+        assert seen > 30
+
+
+def test_failed_order_proof_reports_the_measured_order(monkeypatch):
+    import quadrec.certificates as mod
+    monkeypatch.setattr(mod, "_has_order", lambda x, n, n_primes: False)
+    with pytest.raises(InvariantBreachError, match=r"ord=10, n=10"):
+        certificate_for_n(2, 10)  # Phi_10(2) = 11, where 2 has order 10
+
+
+def test_inexact_cyclotomic_division_raises(monkeypatch):
+    import quadrec.certificates as mod
+    monkeypatch.setitem(mod._CYCLO, 2, (2, 1))  # a wrong Phi_2 = x + 2
+    monkeypatch.delitem(mod._CYCLO, 4, raising=False)
+    with pytest.raises(InvariantBreachError):
+        cyclotomic_poly(4)
+
+
+def test_ideal_factorization_guards():
+    P3, P5 = (prime_ideals_above(None, p)[0] for p in (3, 5))
+    with pytest.raises(InvariantBreachError):
+        IdealFactorization(((P5, 1), (P3, 1)))
+    with pytest.raises(InvariantBreachError):
+        IdealFactorization(((P3, 0),))
+
+
+def test_u_part_valuation_guard(monkeypatch):
+    import quadrec.certificates as mod
+    real = mod.ideal_split
+    P11 = prime_ideals_above(None, 11)[0]
+
+    def doubled(gamma, n, mode, field=None):
+        s = real(gamma, n, mode, field)
+        return dataclasses.replace(s, u_part=IdealFactorization(((P11, 2),)))
+
+    monkeypatch.setattr(mod, "ideal_split", doubled)
+    with pytest.raises(InvariantBreachError, match="valuation 2"):
+        certificate_for_n(2, 10)

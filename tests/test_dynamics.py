@@ -9,6 +9,7 @@ from quadrec.dynamics import (
     companion_system,
     eigen_consistency,
     expected_count,
+    expected_counts,
     multiplicative_rank,
     orbit_period,
 )
@@ -17,8 +18,9 @@ from quadrec.errors import (DegenerateInputError, ResourceLimitError,
 from quadrec.periods import (RecurrenceTuple, fibonacci_tuple, is_degenerate,
                              period_bruteforce, rational_tuple,
                              standard_battery)
-from quadrec.ring import (as_element, field_norm, is_prime, is_torsion,
-                          prime_ideals_above, qelem, quadratic_field)
+from quadrec.ring import (as_element, field_norm, ideal_factors, is_prime,
+                          is_torsion, prime_ideals_above, qelem,
+                          quadratic_field)
 
 K5 = quadratic_field(5)
 PHI = qelem(K5, 0, 1)
@@ -125,6 +127,29 @@ def test_expected_count_per_ideal():
 def test_expected_count_monotone_in_bound_and_rank():
     assert expected_count([2], 100) > expected_count([2], 10)
     assert expected_count([2, 3], 100) < expected_count([2], 100)
+
+
+@pytest.mark.parametrize("gens", [[2], [2, 3], [PHI ** 2], [as_element(3, K5)]],
+                         ids=["2", "2,3", "phi^2", "3 in Q(sqrt5)"])
+def test_expected_counts_bit_identical_to_one_y_sums(gens):
+    # the one-pass totals must equal the plain per-Y loop float for float
+    ys = [5000, 10, 700, 10, 1, 2]
+    r = multiplicative_rank(gens).free_rank
+    field = as_element(gens[0]).field
+    bad = {P.label() for g in gens for P, _ in ideal_factors(as_element(g))}
+    want = []
+    for y in ys:
+        total = 0.0
+        for p in range(2, y + 1):
+            if not is_prime(p):
+                continue
+            for P in prime_ideals_above(field, p):
+                if P.kind != "ramified" and P.norm <= y and P.label() not in bad:
+                    total += P.norm ** (-r)
+        want.append(total)
+    assert expected_counts(gens, ys) == want
+    assert [expected_count(gens, y) for y in ys] == want
+    assert expected_counts(gens, []) == []
 
 
 def test_companion_fibonacci():

@@ -2,10 +2,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from quadrec.errors import DegenerateInputError, UsageError
+from quadrec.errors import (DegenerateInputError, FactorizationError,
+                            InvariantBreachError, UsageError)
 from quadrec.ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -379,3 +380,68 @@ def test_factorize_known_semiprime():
     # both factors above the trial-division bound, forces the rho path
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+# ---------------------------------------------------------------------------
+# class-restricted trial division
+
+
+def test_index_one_wheel_is_the_30_wheel():
+    from quadrec.ring import _trial_wheel
+    assert _trial_wheel(1) == ((2, 3, 5), 7, (4, 2, 4, 2, 4, 6, 2, 6))
+
+
+@pytest.mark.parametrize("index", [2, 4, 7, 12, 30, 60, 101])
+def test_wheel_walks_exactly_the_admissible_classes(index):
+    from quadrec.ring import _trial_wheel
+    first, m, gaps = _trial_wheel(index)
+    assert set(first) == {2, 3, 5} | set(factorize(index))
+    walked = set()
+    for gap in gaps * 3:
+        walked.add(m)
+        m += gap
+    top = max(walked)
+    assert walked == {k for k in range(7, top + 1)
+                      if math.gcd(k, 30) == 1 and k * k % index == 1}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([None, 2, 5, -1]), st.integers(-5, 5),
+       st.integers(-3, 3), st.integers(1, 3), st.integers(1, 60))
+def test_factorize_along_cyclotomic_classes_matches_plain(d, a, b, den, n):
+    # every prime of the numerator of N(Phi_n(gamma)) divides n or has
+    # q^2 = 1 (mod n), so the class-restricted walk must lose nothing
+    from quadrec.certificates import cyclotomic_value
+    field = None if d is None else quadratic_field(d)
+    value = cyclotomic_value(qelem(field, a, b if field else 0, den), n)
+    assume(not value.is_zero())
+    N = abs(field_norm(value).numerator)
+    try:
+        plain = factorize(N, rho_budget=50_000)
+    except FactorizationError:
+        assume(False)  # rho budget ran out on a hard cofactor, not our claim
+    assert factorize(N, rho_budget=50_000, index=n) == plain
+
+
+def test_factorize_with_index_on_mersenne_numbers():
+    assert factorize(2 ** 29 - 1, index=29) == {233: 1, 1103: 1, 2089: 1}
+    assert factorize(2 ** 32 + 1, index=64) == {641: 1, 6700417: 1}  # Phi_64(2)
+    assert factorize(1, index=7) == {}
+
+
+@pytest.mark.parametrize("N, index", [
+    (77, 5),               # 7 and 11: the m^2 > cofactor shortcut claims 77
+    (7, 5),                # a prime outside the classes +-1 (mod 5)
+    (91 * 1000003, 5),     # the walk divides out 91 = 7 * 13, 91 = 1 (mod 5)
+    (7 * 1000003, 5),      # 7 = 2, 1000003 = 3 (mod 5): shortcut claims the product
+])
+def test_false_index_hint_raises(N, index):
+    with pytest.raises(InvariantBreachError):
+        factorize(N, index=index)
+
+
+def test_factor_large_rejects_an_improper_rho_factor(monkeypatch):
+    import quadrec.ring as mod
+    monkeypatch.setattr(mod, "_pollard_brent", lambda n, budget: n)
+    with pytest.raises(InvariantBreachError):
+        factorize(1_000_003 * 1_000_033)
