@@ -258,7 +258,8 @@ class CertifiedCount:
     bound: int
     count: int
     per_n: tuple[tuple[int, tuple[str, ...]], ...]  # witness index -> kept primes
-    skipped: tuple[int, ...]  # indices lost to factorization failure
+    # indices whose Phi_n(gamma) neither rho nor p-1 split within the budget
+    skipped: tuple[int, ...]
     # the kept certificates (norm <= bound), in emission order
     certificates: tuple[NonWieferichCertificate, ...] = ()
 

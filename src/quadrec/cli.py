@@ -140,13 +140,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    """Store an option's value, refusing the option a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise UsageError(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="quadrec", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def common(sp, *, base=False, field=True, emit=("json", "csv")):
         if base:
-            sp.add_argument("--base", required=True,
+            sp.add_argument("--base", required=True, action=_Once,
                             help="rational or quadratic literal, e.g. 2, 3/2, "
                                  "(1+sqrt(5))/2")
         if field:

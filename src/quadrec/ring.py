@@ -10,10 +10,11 @@ Everything here is immutable and pure; values can be shared freely.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (DegenerateInputError, FactorizationError,
                      InvariantBreachError, UsageError)
@@ -21,7 +22,8 @@ from .errors import (DegenerateInputError, FactorizationError,
 Rational = Union[int, Fraction]
 
 # Trial division handles prime factors below this bound deterministically;
-# Pollard rho (Brent variant) takes over beyond it.
+# beyond it Brent's rho races Pollard's p-1 stage 1, both drawing on the one
+# budget DEFAULT_RHO_BUDGET (rho squarings; p-1 runs to B1 = budget // 2).
 TRIAL_LIMIT = 10 ** 6
 _TRIAL_SQ = TRIAL_LIMIT ** 2
 DEFAULT_RHO_BUDGET = 2_000_000
@@ -49,7 +51,8 @@ _MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97
 
 def _vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
-    assert n != 0
+    if n == 0:
+        raise ValueError("the p-adic valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
@@ -92,18 +95,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, budget: int) -> int:
-    """A proper factor of composite odd n, or FactorizationError on budget."""
-    if n % 2 == 0:
-        return 2
-    r = math.isqrt(n)
-    if r * r == n:
-        return r
+def _pollard_brent(n: int, budget: int) -> Iterator[int]:
+    """Brent's rho on composite odd n, run a doubling round per next().
+
+    Yields the modular squarings each fruitless round spent, and returns a
+    factor d > 1 of n (not n itself), or None once the rounds have spent
+    more than budget or the parameter sweep ends.
+    """
     used = 0
     for c in range(1, 64):
         y, m, g, q = 2, 128, 1, 1
         x = ys = y
-        while g == 1:
+        while True:
             x = y
             for _ in range(m):
                 y = (y * y + c) % n
@@ -115,11 +118,12 @@ def _pollard_brent(n: int, budget: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += 128
+            if g != 1:
+                break
             used += 2 * m
             if used > budget:
-                raise FactorizationError(
-                    f"rho budget {budget} exhausted on cofactor {n}"
-                )
+                return None
+            yield 2 * m
             m *= 2
         if g == n:
             # backtrack one step at a time
@@ -129,7 +133,72 @@ def _pollard_brent(n: int, budget: int) -> int:
                 g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
-    raise FactorizationError(f"no factor of {n} found (parameter sweep exhausted)")
+    return None
+
+
+# Prime powers raised per gcd in p-1 stage 1.
+_PM1_BATCH = 256
+
+
+def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
+    """Pollard's p-1 stage 1 on composite n, run a batch per next().
+
+    Starts from 3^(2*index), since a prime q in factorize's classes often
+    has index | q - 1, and raises it to every prime power <= bound, taking
+    one gcd per batch.  Yields the exponent bits each fruitless batch spent,
+    and returns a factor d > 1 of n (not n itself), or None when the primes
+    run out or a single prime power reveals every factor of n at once.
+    """
+    a = pow(3, 2 * index, n)
+    powers = _prime_powers(bound)
+    while batch := list(itertools.islice(powers, _PM1_BATCH)):
+        start, e = a, math.prod(batch)
+        a = pow(a, e, n)
+        g = math.gcd(a - 1, n)
+        if g == 1:
+            yield e.bit_length()
+            continue
+        if g == n:
+            # two factors fell out in one batch: redo it a prime power at a time
+            a = start
+            for pk in batch:
+                a = pow(a, pk, n)
+                g = math.gcd(a - 1, n)
+                if g > 1:
+                    break
+        return g if g < n else None
+    return None
+
+
+def _split(n: int, budget: int, index: int) -> int:
+    """A factor d > 1 of composite n, not n: Brent rho raced against p-1.
+
+    The method that has spent less work (modular squarings, or exponent
+    bits, which cost a squaring each) runs next, so a split costs at most
+    about twice what the cheaper method needs.  Rho stops after budget
+    squarings, p-1 after the primes up to B1 = budget // 2; when both have
+    stopped, or together they pass 2 * budget, FactorizationError.
+    """
+    if n % 2 == 0:
+        return 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return r
+    methods = {"rho": _pollard_brent(n, budget),
+               "p-1": _pollard_pm1(n, budget // 2, index)}
+    spent = dict.fromkeys(methods, 0)
+    while methods and sum(spent.values()) <= 2 * budget:
+        name = min(methods, key=spent.__getitem__)
+        try:
+            spent[name] += next(methods[name])
+        except StopIteration as stop:
+            if stop.value is not None:
+                return stop.value
+            del methods[name]
+    raise FactorizationError(
+        f"factorization budget {budget} exhausted on cofactor {n} "
+        f"(Brent rho and p-1 stage 1 with B1 = {budget // 2})"
+    )
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,8 +232,12 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
               index: int = 1) -> dict[int, int]:
     """Full prime factorization {p: e} of n >= 1.
 
-    Trial division below TRIAL_LIMIT, Pollard rho above; an unfactorable
-    cofactor raises FactorizationError rather than returning a guess.
+    Trial division below TRIAL_LIMIT.  A composite cofactor above it goes to
+    a race of Brent's rho (at most rho_budget squarings) against Pollard's
+    p-1 stage 1 (B1 = rho_budget // 2, started from 3^(2*index)): whichever
+    has spent less runs next, and the first proper factor wins.  A cofactor
+    that neither method splits within 2 * rho_budget raises
+    FactorizationError rather than returning a guess.
 
     index states a fact about n: every prime factor q of n divides index or
     has q^2 = 1 (mod index).  The numerator of N(Phi_k(gamma)) satisfies it
@@ -198,7 +271,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
         if m * m > n:
             out[n] = out.get(n, 0) + 1
         else:
-            _factor_large(n, out, rho_budget)
+            _factor_large(n, out, rho_budget, index)
     if index > 1:
         bad = [q for q in out
                if not ((index % q == 0 or q * q % index == 1) and is_prime(q))]
@@ -210,15 +283,15 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
     return dict(sorted(out.items()))
 
 
-def _factor_large(n: int, out: dict[int, int], budget: int) -> None:
+def _factor_large(n: int, out: dict[int, int], budget: int, index: int) -> None:
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    d = _pollard_brent(n, budget)
+    d = _split(n, budget, index)
     if not 1 < d < n:
-        raise InvariantBreachError(f"rho returned {d}, not a proper factor of {n}")
-    _factor_large(d, out, budget)
-    _factor_large(n // d, out, budget)
+        raise InvariantBreachError(f"split returned {d}, not a proper factor of {n}")
+    _factor_large(d, out, budget, index)
+    _factor_large(n // d, out, budget, index)
 
 
 def euler_phi(n: int) -> int:
@@ -241,6 +314,39 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if s[i]]
 
 
+def _prime_segments(lo: int, hi: int,
+                    segment: int = 1 << 16) -> Iterator[Iterator[int]]:
+    """The primes in [lo, hi), one sieve segment at a time."""
+    lo = max(lo, 2)
+    if lo >= hi:
+        return
+    base = primes_below(math.isqrt(hi - 1) + 1)
+    for start in range(lo, hi, segment):
+        end = min(start + segment, hi)
+        marks = bytearray([1]) * (end - start)
+        for p in base:
+            if p * p >= end:
+                break
+            first = max(p * p, (start + p - 1) // p * p)
+            marks[first - start::p] = bytearray(len(range(first, end, p)))
+        yield itertools.compress(range(start, end), marks)
+
+
+def iter_primes(lo: int, hi: int, segment: int = 1 << 16) -> Iterator[int]:
+    """Primes in [lo, hi) via a segmented sieve; memory stays O(segment)."""
+    for primes in _prime_segments(lo, hi, segment):
+        yield from primes
+
+
+def _prime_powers(bound: int) -> Iterator[int]:
+    """The largest power <= bound of each prime <= bound, by ascending prime."""
+    for p in itertools.chain.from_iterable(_prime_segments(2, bound + 1)):
+        pk = p
+        while pk * p <= bound:
+            pk *= p
+        yield pk
+
+
 def kronecker(D: int, p: int) -> int:
     """Kronecker symbol (D/p) for prime p."""
     if p == 2:
@@ -259,7 +365,8 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    assert pow(a, (p - 1) // 2, p) == 1, "not a residue"
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise InvariantBreachError(f"{a} is not a square modulo {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import CheckpointError, UsageError
-from .ring import prime_ideals_above, primes_below, quad_valuation, quadratic_field
+from .ring import iter_primes, prime_ideals_above, quad_valuation, quadratic_field
 from .wieferich import fermat_quotient_residue, wall_period_test, wss_divisibility_test
 
 CHECKPOINT_VERSION = 1
@@ -24,25 +23,6 @@ CHECKPOINT_VERSION = 1
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def iter_primes(lo: int, hi: int, segment: int = 1 << 16) -> Iterator[int]:
-    """Primes in [lo, hi) via a segmented sieve; memory stays O(segment)."""
-    lo = max(lo, 2)
-    if lo >= hi:
-        return
-    base = primes_below(math.isqrt(hi - 1) + 1)
-    for start in range(lo, hi, segment):
-        end = min(start + segment, hi)
-        marks = bytearray([1]) * (end - start)
-        for p in base:
-            if p * p >= end:
-                break
-            first = max(p * p, (start + p - 1) // p * p)
-            marks[first - start::p] = bytearray(len(range(first, end, p)))
-        for i, ok in enumerate(marks):
-            if ok:
-                yield start + i
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,20 @@ def primes_below(n: int) -> list[int]:
     return [i for i in range(n) if s[i]]
 
 
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division with every odd d <= sqrt(n)."""
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
+def next_prime(n: int) -> int:
+    """The least prime >= n, by trial division."""
+    while not is_prime_trial(n):
+        n += 1
+    return n
+
+
 def phi_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 

@@ -257,6 +257,24 @@ def test_certified_count_monotone():
     assert counts[0] < counts[-1]
 
 
+def test_certified_count_base_2_to_1e31_skips_nothing():
+    # n = 101 is in range; rho alone could not split 2^101 - 1 in budget
+    cc = certified_count(2, 10 ** 31)
+    assert cc.skipped == ()
+    assert cc.count == 170
+
+
+def test_certified_count_base_2_to_1e40_skips_nothing():
+    # p-1 splits the cofactors of Phi_101(2) and Phi_125(2), which rho
+    # alone could not within its budget
+    import time
+    t0 = time.perf_counter()
+    cc = certified_count(2, 10 ** 40)
+    assert time.perf_counter() - t0 < 3.0
+    assert cc.skipped == ()
+    assert cc.count == 239
+
+
 def test_certified_count_quadratic_base():
     cc = certified_count(PHI * PHI, 200)
     assert cc.count >= 1

@@ -122,6 +122,20 @@ def test_parse_args_rejects():
             parse_args(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-wieferich", "--base", "2", "--base", "3", "--to", "20000"],
+    ["certify", "--base", "2", "--base", "3", "--bound", "1000"],
+    ["certify", "--base", "2", "--bound", "1000", "--base", "2"],
+    ["abc-quality", "--base", "2", "--base", "3"],
+    ["phi-ratio", "--base", "2", "--base", "(1+sqrt(5))/2"],
+])
+def test_repeated_base_exits_2(capsys, argv):
+    # the parent kept the last --base and printed its results with exit 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--base given more than once" in err
+
+
 def test_precision_env(monkeypatch):
     monkeypatch.setenv("QUADREC_PRECISION", "64")
     assert parse_args(["phi-ratio", "--base", "2"]).precision == 64

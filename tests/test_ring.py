@@ -440,8 +440,132 @@ def test_false_index_hint_raises(N, index):
         factorize(N, index=index)
 
 
+def _returns(value):
+    """A stand-in split method: a generator that returns value at once."""
+    def method(*args):
+        return value
+        yield
+    return method
+
+
+def _spins(*args):
+    """A stand-in split method that keeps spending work and never ends."""
+    while True:
+        yield 1
+
+
+def _drain(method):
+    """Run a split method to its end and give back what it returned."""
+    try:
+        while True:
+            next(method)
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_factor_large_rejects_an_improper_rho_factor(monkeypatch):
     import quadrec.ring as mod
-    monkeypatch.setattr(mod, "_pollard_brent", lambda n, budget: n)
+    monkeypatch.setattr(mod, "_pollard_brent", _returns(1_000_003 * 1_000_033))
     with pytest.raises(InvariantBreachError):
         factorize(1_000_003 * 1_000_033)
+
+
+def test_factor_large_rejects_an_improper_pm1_factor(monkeypatch):
+    import quadrec.ring as mod
+    monkeypatch.setattr(mod, "_pollard_brent", _spins)
+    monkeypatch.setattr(mod, "_pollard_pm1", _returns(1_000_003 * 1_000_033))
+    with pytest.raises(InvariantBreachError):
+        factorize(1_000_003 * 1_000_033)
+
+
+# ---------------------------------------------------------------------------
+# the rho / p-1 race
+
+
+def test_race_splits_mersenne_101_within_a_second():
+    # 7432339208719 - 1 = 2 * 3 * 101 * 44029 * 278557 is smooth below
+    # B1 = 10^6; rho alone ran out its whole budget on this number
+    import time
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        got = factorize(2 ** 101 - 1, index=101)
+        best = min(best, time.perf_counter() - t0)
+        assert got == {7432339208719: 1, 341117531003194129: 1}
+        if best < 1.0:
+            break
+    assert best < 1.0
+
+
+def test_pm1_streams_its_primes(monkeypatch):
+    # p-1 walks the primes below B1 = 10^6 by a segmented sieve, so no
+    # sieve is ever asked for more than the base primes below sqrt(B1)
+    import quadrec.ring as mod
+    asked = []
+    real = mod.primes_below
+
+    def recording(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(mod, "primes_below", recording)
+    assert factorize(2 ** 101 - 1, index=101) == {7432339208719: 1,
+                                                 341117531003194129: 1}
+    b1 = mod.DEFAULT_RHO_BUDGET // 2
+    assert asked and max(asked) <= math.isqrt(b1) + 1
+
+
+def test_pm1_backtracks_when_one_batch_reveals_both_factors():
+    from quadrec.ring import _PM1_BATCH, _pollard_pm1
+    q1, q2 = 2860395497579, 6604071883847
+    assert q1 - 1 == 2 * 739 * 823 * 1237 * 1901
+    assert q2 - 1 == 2 * 563 * 1303 * 1607 * 2801
+    # every factor of q1 - 1 and q2 - 1 below 1901 lies in the first batch of
+    # prime powers, 1901 and 2801 both lie in the second, so the second
+    # batch's gcd is q1 * q2 itself; only the walk back separates them
+    ps = oracles.primes_below(4000)
+    assert ps[_PM1_BATCH - 1] < 1901 < 2801 <= ps[2 * _PM1_BATCH - 1]
+    assert max(1607, 1303, 1237) < ps[_PM1_BATCH]
+    assert all(is_prime(q) for q in (q1, q2))
+    assert _drain(_pollard_pm1(q1 * q2, 10 ** 6, 1)) == q1
+    assert factorize(q1 * q2) == {q1: 1, q2: 1}
+
+
+def test_race_gives_up_on_a_product_of_safe_primes():
+    # q = 2r + 1 with r prime: neither q - 1 is smooth, and rho needs about
+    # 10^6 steps, far past the budget
+    q1, q2 = 1000000000547, 1000002002543
+    assert all(is_prime(q) and is_prime(q // 2) for q in (q1, q2))
+    with pytest.raises(FactorizationError) as info:
+        factorize(q1 * q2, rho_budget=20_000)
+    assert str(q1 * q2) in str(info.value) and "20000" in str(info.value)
+
+
+@settings(max_examples=15)
+@given(st.integers(10 ** 6, 10 ** 9), st.integers(10 ** 6, 10 ** 9))
+def test_race_matches_trial_division_on_semiprimes(a, b):
+    p, q = oracles.next_prime(a), oracles.next_prime(b)
+    # p and q are primes by trial division, so p * q has no other factorization
+    want = {p: 2} if p == q else {min(p, q): 1, max(p, q): 1}
+    assert factorize(p * q) == want
+
+
+# ---------------------------------------------------------------------------
+# typed errors in the integer plumbing
+
+
+def test_vp_of_zero_raises_value_error():
+    from quadrec.ring import _vp
+    with pytest.raises(ValueError):
+        _vp(0, 3)
+    assert _vp(-72, 2) == 3 and _vp(72, 3) == 2 and _vp(5, 7) == 0
+
+
+def test_sqrt_mod_prime_of_a_non_residue_raises():
+    from quadrec.ring import _sqrt_mod_prime
+    with pytest.raises(InvariantBreachError):
+        _sqrt_mod_prime(3, 7)  # the squares mod 7 are 1, 2 and 4
+    with pytest.raises(InvariantBreachError):
+        _sqrt_mod_prime(3, 17)  # 17 = 1 (mod 4): the Tonelli-Shanks branch
+    assert _sqrt_mod_prime(2, 7) ** 2 % 7 == 2
+    assert _sqrt_mod_prime(2, 17) ** 2 % 17 == 2
