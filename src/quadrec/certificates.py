@@ -29,48 +29,6 @@ from .ring import (
 from .wieferich import fermat_quotient_residue
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    """A product of prime-ideal powers, kept sorted by (p, label)."""
-
-    factors: tuple[tuple[PrimeIdealData, int], ...]
-
-    def __post_init__(self):
-        labels = [P.label() for P, _ in self.factors]
-        if labels != sorted(labels, key=lambda s: (len(s), s)):
-            raise InvariantBreachError(f"ideal factors out of order: {labels}")
-        if any(e <= 0 for _, e in self.factors):
-            raise InvariantBreachError("ideal factor with a non-positive exponent")
-
-    def support(self) -> set[str]:
-        return {P.label() for P, _ in self.factors}
-
-    def norm(self) -> int:
-        out = 1
-        for P, e in self.factors:
-            out *= P.norm ** e
-        return out
-
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-
-def _sorted_ideal(factors) -> IdealFactorization:
-    return IdealFactorization(
-        tuple(sorted(factors, key=lambda t: (len(t[0].label()), t[0].label())))
-    )
-
-
-def numerator_denominator(gamma, field: Optional[QuadraticField] = None
-                          ) -> tuple[IdealFactorization, IdealFactorization]:
-    """Coprime integral ideals I, J with (gamma) = I/J."""
-    g = as_element(gamma, field)
-    num, den = [], []
-    for P, v in ideal_factors(g):
-        (num if v > 0 else den).append((P, abs(v)))
-    return _sorted_ideal(num), _sorted_ideal(den)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
@@ -130,60 +88,8 @@ def cyclotomic_value(gamma, n: int,
     return acc
 
 
-def squarefree_part(N: int) -> int:
-    """Product of the primes dividing N with valuation exactly 1."""
-    if N == 0:
-        raise UsageError("0 has no squarefree part")
-    out = 1
-    for p, e in factorize(abs(N)).items():
-        if e == 1:
-            out *= p
-    return out
-
-
 # ---------------------------------------------------------------------------
-# ideal splits and certificates
-
-
-@dataclass(frozen=True)
-class IdealSplit:
-    n: int
-    mode: str  # "power" | "cyclotomic"
-    value: QuadraticElement
-    u_part: IdealFactorization  # valuation exactly 1
-    v_part: IdealFactorization  # valuation >= 2
-    w_part: IdealFactorization  # denominator contributions
-
-
-def ideal_split(gamma, n: int, mode: str,
-                field: Optional[QuadraticField] = None) -> IdealSplit:
-    """Split the ideal of gamma^n - 1 or Phi_n(gamma) by valuation profile.
-
-    In cyclotomic mode every prime of N(Phi_n(gamma))'s numerator divides n
-    or has norm 1 mod n, so its factorization runs with index = n.
-    """
-    g = as_element(gamma, field)
-    if is_torsion(g):
-        raise UsageError("torsion base: the split degenerates")
-    if n < 1:
-        raise UsageError("index must be >= 1")
-    if mode == "power":
-        value, index = g ** n - 1, 1
-    elif mode == "cyclotomic":
-        value, index = cyclotomic_value(g, n), n
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
-    u, v, w = [], [], []
-    if not value.is_zero():
-        for P, val in ideal_factors(value, index=index):
-            if val == 1:
-                u.append((P, 1))
-            elif val >= 2:
-                v.append((P, val))
-            else:
-                w.append((P, -val))
-    return IdealSplit(n, mode, value, _sorted_ideal(u), _sorted_ideal(v),
-                      _sorted_ideal(w))
+# certificates
 
 
 @dataclass(frozen=True)
@@ -206,31 +112,28 @@ class NonWieferichCertificate:
 def certificate_for_n(gamma, n: int,
                       field: Optional[QuadraticField] = None
                       ) -> list[NonWieferichCertificate]:
-    """Certificates from the squarefree part of (Phi_n(gamma)).
+    """Certificates from the primes that divide Phi_n(gamma) exactly once.
 
-    Filter: prime unramified, p does not divide n, prime outside the support
-    of the numerator and denominator ideals of gamma.  Every survivor is then
-    verified on both claims; a verification failure is a library bug.  The
-    order is proven equal to n from gamma^n = 1 and gamma^(n/r) != 1 (mod P)
-    for each prime r | n, so N(P) +- 1 is never factored.
+    Filter: v_P(Phi_n(gamma)) = 1, P unramified, p does not divide n, and P
+    outside the support of the ideal (gamma), numerator and denominator
+    alike.  Every prime of N(Phi_n(gamma))'s numerator divides n or has norm
+    1 mod n, so its factorization runs with index = n.  Every survivor is
+    then verified on both claims; a verification failure is a library bug.
+    The order is proven equal to n from gamma^n = 1 and gamma^(n/r) != 1
+    (mod P) for each prime r | n, so N(P) +- 1 is never factored.
     """
     g = as_element(gamma, field)
     if is_torsion(g):
         raise UsageError("torsion base certifies nothing")
-    split = ideal_split(g, n, "cyclotomic")
-    I, J = numerator_denominator(g)
-    banned = I.support() | J.support()
+    factors = ideal_factors(cyclotomic_value(g, n), index=n)
+    banned = {P.label() for P, _ in ideal_factors(g)}
     n_primes = tuple(factorize(n))
     out = []
-    for P, val in split.u_part.factors:
-        if val != 1:
-            raise InvariantBreachError(
-                f"valuation {val} at {P.label()} in the u-part, n={n}"
-            )
+    for P, val in factors:
+        if val != 1 or n % P.p == 0 or P.label() in banned:
+            continue
         if P.kind == "ramified":
             continue  # no order/Wieferich verdicts at ramified primes
-        if n % P.p == 0 or P.label() in banned:
-            continue
         x = reduce(g, (P, 1))
         if not _has_order(x, n, n_primes):
             raise InvariantBreachError(

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (DegenerateInputError, InvariantBreachError,
-                     ResourceLimitError, UsageError)
+from .errors import InvariantBreachError, ResourceLimitError, UsageError
 from .heights import local_values
-from .periods import (RecurrenceTuple, _state_period, _to_pair,
+from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, initial_terms,
                       period_formula)
 from .ring import (PrimeIdealData, QuadraticElement, QuadraticField,
                    as_element, ideal_factors, is_torsion, prime_ideals_above,
-                   primes_below, reduce)
+                   primes_below)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
 
@@ -135,7 +134,9 @@ def multiplicative_rank(a, field: Optional[QuadraticField] = None
         # of a single unit; recombine pairwise down to one representative
         logs = [_archimedean_log(_clamped_product(gens, v)) for v in nontorsion]
         j = max(range(len(nontorsion)), key=lambda i: abs(logs[i]))
-        assert logs[j] != 0
+        if logs[j] == 0:
+            raise InvariantBreachError(
+                f"non-torsion kernel vector {nontorsion[j]} has a zero log")
         keep = nontorsion[j]
         recombined = [keep]
         for i, vec in enumerate(nontorsion):
@@ -223,43 +224,10 @@ def companion_system(t: RecurrenceTuple) -> CompanionSystem:
     return CompanionSystem(t, tuple(cs), tuple(rows), initial_terms(t))
 
 
-class _OrbitRing:
-    """Pairs (u, v) = u + v*w of plain ints mod `mod`, with w^2 = tr*w - nm.
-
-    An integer modulus m is Z[w]/m, entered through _to_pair.  A prime power
-    (P, e) is entered through reduce(), whose residues are pairs mod p^e as
-    well (v = 0 except on inert rings), so both kinds share one arithmetic.
-    The constant coefficient c0 must be a unit, or the companion matrix,
-    with determinant +-c0, has no orbit period.
-    """
-
-    def __init__(self, field, modulus, c0: QuadraticElement):
-        if isinstance(modulus, int):
-            if modulus < 1:
-                raise UsageError("modulus must be >= 1")
-            self.mod = modulus
-            self.tr, self.nm = (field.omega_trace, field.omega_norm) \
-                if field is not None else (0, 0)
-            self.embed = lambda x: _to_pair(x, modulus)
-            u, v = self.embed(c0)
-            unit = math.gcd(u * u + self.tr * u * v + self.nm * v * v,
-                            modulus) == 1
-        else:
-            r0 = reduce(c0, modulus)
-            unit = r0.is_unit()
-            self.mod, self.tr, self.nm = r0.ring.pe, r0.ring.t, r0.ring.n
-
-            def embed(x):
-                r = reduce(x, modulus)
-                return (r.u, r.v)
-            self.embed = embed
-        if not unit:
-            raise DegenerateInputError("companion matrix is singular mod modulus")
-
-
 def _mat_vec(ring, M, q):
-    """M q, each entry summed on the pairs and reduced once at the end."""
-    mod, tr, nm = ring.mod, ring.tr, ring.nm
+    """M q over pairs with ring = (t, n, mod), each entry summed on the pairs
+    and reduced once at the end."""
+    tr, nm, mod = ring
     out = []
     for row in M:
         u = v = 0
@@ -277,7 +245,8 @@ def _mat_mul(ring, A, B):
 
 
 def _mat_pow(ring, M, k):
-    assert k >= 1
+    if k < 1:
+        raise InvariantBreachError(f"matrix power exponent {k} is below 1")
     result = None
     acc = M
     while k:
@@ -297,12 +266,13 @@ def orbit_period(sys: CompanionSystem, modulus,
     M is a companion matrix, so M q shifts the state and appends the
     recurrence step: the iteration is the state loop of the period oracle.
     """
-    if isinstance(modulus, int) and modulus == 1:
+    if modulus == 1:
         return 1
-    ring = _OrbitRing(sys.source.field(), modulus, sys.coefficients[0])
-    M = tuple(tuple(ring.embed(x) for x in row) for row in sys.matrix)
-    q0 = tuple(ring.embed(x) for x in sys.q0)
-    k = _state_period(list(M[-1]), list(q0), ring.tr, ring.nm, ring.mod, budget)
+    embed, ring = _pair_embedding(sys.source.field(), modulus,
+                                  sys.coefficients[0])
+    M = tuple(tuple(embed(x) for x in row) for row in sys.matrix)
+    q0 = tuple(embed(x) for x in sys.q0)
+    k = _state_period(list(M[-1]), list(q0), *ring, budget)
     Mk = _mat_pow(ring, M, k)
     if _mat_vec(ring, Mk, q0) != q0:
         raise InvariantBreachError("orbit return failed the matrix-power check")

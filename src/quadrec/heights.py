@@ -13,6 +13,7 @@ from typing import Optional
 
 import mpmath
 
+from .certificates import cyclotomic_value
 from .errors import UsageError
 from .ring import (
     PrimeIdealData,
@@ -83,15 +84,6 @@ def local_values(x, field: Optional[QuadraticField] = None,
         out.append(PlaceValue("finite", Fraction(P.norm) ** (-v), ideal=P))
     out.extend(_infinite_places(g, precision))
     return out
-
-
-def lambda_v(x, place: PlaceValue, field: Optional[QuadraticField] = None,
-             precision: int = DEFAULT_PRECISION) -> float:
-    """Local height contribution log^+ of the place value, degree-normalized."""
-    g = as_element(x, field)
-    with mpmath.workprec(precision):
-        lv = place.log_value(precision)
-        return float(max(lv, mpmath.mpf(0)) / _degree(g.field))
 
 
 def element_height(x, field: Optional[QuadraticField] = None,
@@ -216,7 +208,6 @@ class PhiRatio:
 
 def phi_norm_ratio(gamma, n: int, field: Optional[QuadraticField] = None,
                    precision: int = DEFAULT_PRECISION) -> PhiRatio:
-    from .certificates import cyclotomic_value  # deferred: two-way dependency
     g = as_element(gamma, field)
     val = cyclotomic_value(g, n)
     if val.is_zero():

@@ -21,7 +21,6 @@ from .ring import (
     ResidueElement,
     as_element,
     factorize,
-    field_norm,
     kronecker,
     prime_ideals_above,
     qelem,
@@ -114,7 +113,8 @@ def char_coefficients(t: RecurrenceTuple) -> tuple[QuadraticElement, ...]:
         for k in range(1, len(prev)):
             poly.append(prev[k - 1] - root * prev[k])
         poly.append(prev[-1])
-    assert poly[-1].as_fraction() == 1
+    if poly[-1].as_fraction() != 1:
+        raise InvariantBreachError("characteristic polynomial is not monic")
     return tuple(-c for c in poly[:-1])
 
 
@@ -282,6 +282,36 @@ def _to_pair(x: QuadraticElement, mod: int) -> tuple[int, int]:
     return x.num_a * dinv % mod, x.num_b * dinv % mod
 
 
+def _pair_embedding(field: Optional[QuadraticField], m: Modulus,
+                    c0: QuadraticElement):
+    """(embed, (t, n, mod)): elements as pairs (u, v) = u + v*w of plain ints
+    mod `mod`, with w^2 = t*w - n.
+
+    An integer modulus m is Z[w]/m, entered through _to_pair.  A prime power
+    (P, e) is entered through reduce(), whose residues are pairs mod p^e as
+    well (v = 0 except on inert rings), so both kinds share one arithmetic.
+    The constant recurrence coefficient c0 must be a unit, or the state map
+    (a companion matrix of determinant +-c0) has no purely periodic orbit.
+    """
+    if isinstance(m, tuple):
+        r0 = reduce(c0, m)
+        if not r0.is_unit():
+            raise DegenerateInputError(
+                f"constant coefficient not a unit mod {m[0].label()}^{m[1]}")
+
+        def embed(x):
+            r = reduce(x, m)
+            return r.u, r.v
+        return embed, (r0.ring.t, r0.ring.n, r0.ring.pe)
+    if m < 1:
+        raise UsageError("modulus must be a positive integer")
+    t, n = (field.omega_trace, field.omega_norm) if field is not None else (0, 0)
+    u, v = _to_pair(c0, m)
+    if math.gcd(u * u + t * u * v + n * v * v, m) != 1:  # the norm of c0
+        raise DegenerateInputError(f"constant coefficient not a unit mod {m}")
+    return (lambda x: _to_pair(x, m)), (t, n, m)
+
+
 def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     """First-return index of the state (x_k .. x_{k+m-1}); the period oracle.
 
@@ -289,32 +319,14 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     requires the constant recurrence coefficient to stay invertible so the
     orbit is purely periodic and first return equals minimal period.
     """
-    coeffs = char_coefficients(t)
-    init = initial_terms(t)
-    if isinstance(m, tuple):
-        P, e = m
-        label = f"{P.label()}^{e}"
-        rc = [reduce(c, (P, e)) for c in coeffs]
-        rx = [reduce(x, (P, e)) for x in init]
-        if not rc[0].is_unit():
-            raise DegenerateInputError(f"constant coefficient not a unit mod {label}")
-        ring = rc[0].ring
-        k = _state_period([(r.u, r.v) for r in rc], [(r.u, r.v) for r in rx],
-                          ring.t, ring.n, ring.pe)
-        return PeriodReport(label, k, (), "brute_force")
-    if m < 1:
-        raise UsageError("modulus must be a positive integer")
     if m == 1:
         return PeriodReport("1", 1, (), "brute_force")
-    pc = [_to_pair(c, m) for c in coeffs]
-    px = [_to_pair(x, m) for x in init]
-    K = t.field()
-    tr, nm = (K.omega_trace, K.omega_norm) if K is not None else (0, 0)
-    u, v = pc[0]
-    if math.gcd(u * u + tr * u * v + nm * v * v, m) != 1:  # the norm of c0
-        raise DegenerateInputError(f"constant coefficient not a unit mod {m}")
-    k = _state_period(pc, px, tr, nm, m)
-    return PeriodReport(str(m), k, (), "brute_force")
+    label = f"{m[0].label()}^{m[1]}" if isinstance(m, tuple) else str(m)
+    coeffs = char_coefficients(t)
+    embed, ring = _pair_embedding(t.field(), m, coeffs[0])
+    k = _state_period([embed(c) for c in coeffs],
+                      [embed(x) for x in initial_terms(t)], *ring)
+    return PeriodReport(label, k, (), "brute_force")
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +409,3 @@ def pisano(m: int) -> int:
         rest = period_formula(fib, ideal_factorization(quadratic_field(5), m))
         period = math.lcm(period, rest.period)
     return period
-
-
-def divisibility_check(t: RecurrenceTuple, P: PrimeIdealData) -> dict:
-    """Assert period(P) | N(P) - 1; returns the verdict, raises if violated."""
-    report = period_formula(t, [(P, 1)])
-    bound = P.norm - 1
-    if bound % report.period != 0:
-        raise InvariantBreachError(
-            f"period {report.period} does not divide {bound} at {P.label()}"
-        )
-    return {"prime": P.label(), "period": report.period,
-            "bound": bound, "divides": True}

@@ -431,9 +431,10 @@ class QuadraticElement:
     den: int
 
     def __post_init__(self):
-        assert self.den > 0
-        assert math.gcd(math.gcd(abs(self.num_a), abs(self.num_b)), self.den) == 1
-        assert not (self.field is None and self.num_b != 0)
+        if (self.den <= 0 or math.gcd(self.num_a, self.num_b, self.den) != 1
+                or (self.field is None and self.num_b != 0)):
+            raise ValueError(f"unnormalized element ({self.num_a} + "
+                             f"{self.num_b}*w)/{self.den}")
 
     # -- constructors -------------------------------------------------------
 
@@ -662,12 +663,14 @@ def _split_roots(field: QuadraticField, p: int) -> tuple[int, int]:
     t, n = field.omega_trace, field.omega_norm
     if p == 2:
         roots = [r for r in (0, 1) if (r * r - t * r + n) % 2 == 0]
-        assert len(roots) == 2
+        if len(roots) != 2:
+            raise InvariantBreachError(f"2 does not split in d={field.d}")
         return roots[0], roots[1]
     s = _sqrt_mod_prime(field.disc % p, p)
     inv2 = (p + 1) // 2
     c1, c2 = (t + s) * inv2 % p, (t - s) * inv2 % p
-    assert c1 != c2
+    if c1 == c2:
+        raise InvariantBreachError(f"double root {c1} at the split prime {p}")
     return (c1, c2) if c1 < c2 else (c2, c1)
 
 
@@ -728,7 +731,9 @@ def _lift_root(c: int, p: int, e: int, t: int, n: int) -> int:
         pk = p ** k
         fprime = (2 * c - t) % pk
         c = (c - (c * c - t * c + n) * pow(fprime, -1, pk)) % pk
-    assert (c * c - t * c + n) % p ** e == 0
+    if (c * c - t * c + n) % p ** e:
+        raise InvariantBreachError(f"{c} is not a root of w^2 - {t}w + {n} "
+                                   f"mod {p}^{e}")
     return c
 
 
@@ -744,7 +749,9 @@ def quad_valuation(x: QuadraticElement, P: PrimeIdealData) -> int:
             raise ValueError("rational prime applied to a quadratic element")
         va = _vp(abs(x.num_a), p) if x.num_a else 0
         return va - (_vp(x.den, p) if x.den % p == 0 else 0)
-    assert x.field == P.field
+    if x.field != P.field:
+        raise InvariantBreachError(
+            f"element of d={x.field.d} at a prime of d={P.field.d}")
     a, b = x.num_a, x.num_b
     er = P.ram_index
     vden = er * (_vp(x.den, p) if x.den % p == 0 else 0)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, UsageError
-from .ring import iter_primes, prime_ideals_above, quad_valuation, quadratic_field
+from .ring import (as_element, iter_primes, prime_ideals_above, quad_valuation,
+                   quadratic_field)
 from .wieferich import fermat_quotient_residue, wall_period_test, wss_divisibility_test
 
 CHECKPOINT_VERSION = 1
@@ -176,8 +177,6 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     One hit record per qualifying ideal; `aggregate` is set when every
     admissible ideal above p qualifies at once.
     """
-    from .ring import as_element
-
     fld = quadratic_field(field_d) if field_d is not None else None
     g = as_element(base, fld)
 

@@ -7,7 +7,6 @@ independent detectors for the Fibonacci case; they must always agree.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,7 +14,6 @@ from .errors import DegenerateInputError, InvariantBreachError, UsageError
 from .periods import _is_fib_period, pisano_prime_power
 from .ring import (
     PrimeIdealData,
-    QuadraticElement,
     QuadraticField,
     as_element,
     is_torsion,
@@ -36,7 +34,9 @@ class WieferichVerdict:
     is_wieferich: bool
 
     def __post_init__(self):
-        assert self.is_wieferich == (self.k_p == 0)
+        if self.is_wieferich != (self.k_p == 0):
+            raise InvariantBreachError(
+                f"verdict {self.is_wieferich} contradicts k_p = {self.k_p}")
 
 
 @dataclass(frozen=True)

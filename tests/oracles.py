@@ -115,15 +115,3 @@ def pair_order_brute(u: int, v: int, p: int, e: int, t: int, n: int) -> int:
 def norm_fraction(a: int, b: int, den: int, t: int, n: int) -> Fraction:
     """N((a + b w)/den) straight from the definition."""
     return Fraction(a * a + t * a * b + n * b * b, den * den)
-
-
-def is_prime_trial(n: int) -> bool:
-    """Primality by trial division with every odd d up to isqrt(n)."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True

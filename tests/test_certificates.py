@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,21 +8,17 @@ from hypothesis import strategies as st
 
 from quadrec.certificates import (
     CertifiedCount,
-    IdealFactorization,
     NonWieferichCertificate,
     certificate_for_n,
     certified_count,
     cyclotomic_poly,
     cyclotomic_value,
-    ideal_split,
-    numerator_denominator,
-    squarefree_part,
     witness_limit,
 )
 from quadrec.errors import FactorizationError, InvariantBreachError, UsageError
 from quadrec.periods import multiplicative_order
-from quadrec.ring import (as_element, field_norm, prime_ideals_above, qelem,
-                          quadratic_field, reduce)
+from quadrec.ring import (as_element, field_norm, ideal_factors,
+                          prime_ideals_above, qelem, quadratic_field, reduce)
 
 K2 = quadratic_field(2)
 K5 = quadratic_field(5)
@@ -71,102 +66,38 @@ def test_divisor_coherence_quadratic():
         assert prod == g ** n - 1, n
 
 
-def test_squarefree_part():
-    assert squarefree_part(12) == 3
-    assert squarefree_part(1) == 1
-    assert squarefree_part(30) == 30
-    assert squarefree_part(8) == 1
-    assert squarefree_part(-18) == 2
-    assert squarefree_part(-10) == 10
-    with pytest.raises(UsageError):
-        squarefree_part(0)
-
-
-@given(st.integers(2, 400), st.integers(2, 400))
-def test_squarefree_part_multiplicative(a, b):
-    if math.gcd(a, b) == 1:
-        assert squarefree_part(a * b) == squarefree_part(a) * squarefree_part(b)
-
-
-def test_numerator_denominator_examples():
-    I, J = numerator_denominator(2)
-    assert [(P.label(), e) for P, e in I.factors] == [("2", 1)]
-    assert J.is_trivial()
-
-    I, J = numerator_denominator(Fraction(3, 2))
-    assert [(P.label(), e) for P, e in I.factors] == [("3", 1)]
-    assert [(P.label(), e) for P, e in J.factors] == [("2", 1)]
-
-    I, J = numerator_denominator(PHI)  # unit
-    assert I.is_trivial() and J.is_trivial()
-
-    half = qelem(K5, 1, 1, 2)  # (1 + omega)/2, norm 1/4
-    I, J = numerator_denominator(half)
-    assert I.is_trivial()
-    assert [(P.label(), e) for P, e in J.factors] == [("2i", 1)]
+def _norm_of(factors) -> Fraction:
+    out = Fraction(1)
+    for P, v in factors:
+        out *= Fraction(P.norm) ** v
+    return out
 
 
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 40),
        st.sampled_from([5, 2, -1, -3]))
-def test_numerator_denominator_recomposes_norm(a, b, den, d):
+def test_ideal_factors_recompose_the_norm(a, b, den, d):
     K = quadratic_field(d)
     x = qelem(K, a, b, den)
     if x.is_zero():
         return
-    I, J = numerator_denominator(x)
-    assert not (I.support() & J.support())
-    assert Fraction(I.norm(), J.norm()) == abs(field_norm(x))
+    factors = ideal_factors(x)
+    assert all(v != 0 for _, v in factors)
+    assert len({P.label() for P, _ in factors}) == len(factors)
+    assert _norm_of(factors) == abs(field_norm(x))
 
 
-def test_ideal_split_examples():
-    s = ideal_split(2, 3, "power")
-    assert s.value == as_element(7)
-    assert [(P.label(), e) for P, e in s.u_part.factors] == [("7", 1)]
-    assert s.v_part.is_trivial() and s.w_part.is_trivial()
-
-    s = ideal_split(2, 6, "cyclotomic")
-    assert [(P.label(), e) for P, e in s.u_part.factors] == [("3", 1)]
-
-    s = ideal_split(2, 1, "power")
-    assert s.u_part.is_trivial() and s.v_part.is_trivial() and s.w_part.is_trivial()
-
-    # 2^6 - 1 = 63 = 3^2 * 7 exercises the repeated-factor part
-    s = ideal_split(2, 6, "power")
-    assert [(P.label(), e) for P, e in s.u_part.factors] == [("7", 1)]
-    assert [(P.label(), e) for P, e in s.v_part.factors] == [("3", 2)]
-
-    with pytest.raises(UsageError):
-        ideal_split(2, 3, "nonsense")
-    with pytest.raises(UsageError):
-        ideal_split(1, 3, "power")
-    with pytest.raises(UsageError):
-        ideal_split(-1, 3, "power")
-
-
-def test_ideal_split_denominator_part():
-    s = ideal_split(Fraction(3, 2), 2, "cyclotomic")  # 3/2 + 1 = 5/2
-    assert [(P.label(), e) for P, e in s.u_part.factors] == [("5", 1)]
-    assert [(P.label(), e) for P, e in s.w_part.factors] == [("2", 1)]
-
-
-def test_ideal_split_quadratic_power():
+def test_ideal_factors_recompose_cyclotomic_norms():
+    # gamma^n - 1 factors with no index claim, Phi_n(gamma) with index = n
+    for value, index in [(as_element(2) ** 10 - 1, 1),
+                         (cyclotomic_value(2, 12), 12),
+                         (as_element(Fraction(3, 2)) ** 6 - 1, 1),
+                         (cyclotomic_value(PHI * PHI, 7), 7),
+                         (qelem(K5, 1, 2, 3) ** 4 - 1, 1)]:
+        factors = ideal_factors(value, index=index)
+        assert _norm_of(factors) == abs(field_norm(value)), value
     # phi^10 - 1 has norm 2 - L_10 = -121, split across both primes over 11
-    s = ideal_split(PHI * PHI, 5, "power")
-    assert [(P.label(), e) for P, e in s.u_part.factors] == [("11a", 1), ("11b", 1)]
-
-
-def test_ideal_split_recomposition():
-    for gamma, n, mode in [(2, 10, "power"), (2, 12, "cyclotomic"),
-                           (Fraction(3, 2), 6, "power"),
-                           (PHI * PHI, 7, "cyclotomic"),
-                           (qelem(K5, 1, 2, 3), 4, "power")]:
-        s = ideal_split(gamma, n, mode)
-        expect = Fraction(s.u_part.norm() * s.v_part.norm(), s.w_part.norm())
-        assert expect == abs(field_norm(s.value))
-        assert all(e == 1 for _, e in s.u_part.factors)
-        assert all(e >= 2 for _, e in s.v_part.factors)
-        labels = (s.u_part.support(), s.v_part.support(), s.w_part.support())
-        assert not (labels[0] & labels[1]) and not (labels[0] & labels[2])
+    assert [(P.label(), v) for P, v in ideal_factors(PHI ** 10 - 1)] == [
+        ("11a", 1), ("11b", 1)]
 
 
 def test_certificates_base_two():
@@ -179,6 +110,9 @@ def test_certificates_base_two():
     assert certificate_for_n(2, 1) == []
     # Phi_6(2) = 3 divides n = 6, so the coprimality filter drops it
     assert certificate_for_n(2, 6) == []
+    # Phi_5(3) = 121 = 11^2: a prime dividing twice certifies nothing
+    assert cyclotomic_value(3, 5) == as_element(121)
+    assert certificate_for_n(3, 5) == []
 
 
 def test_certificates_verify_both_claims():
@@ -313,21 +247,6 @@ def test_certified_count_detects_duplicate_primes(monkeypatch):
         certified_count(2, 100)
 
 
-@settings(max_examples=30)
-@given(st.integers(2, 9), st.integers(2, 60))
-def test_power_split_u_primes_have_order_dividing_n(g, n):
-    # any valuation-1 prime of g^n - 1 coprime to the base sees g^n = 1
-    if g in (4, 8, 9):
-        return
-    try:
-        s = ideal_split(g, n, "power")
-    except FactorizationError:
-        assume(False)  # rho budget ran out on a hard cofactor, not our claim
-    for P, _ in s.u_part.factors:
-        if g % P.p:
-            assert pow(g, n, P.p) == 1
-
-
 @pytest.mark.parametrize("k", range(1, 40))
 def test_witness_limit_exact_at_quadratic_boundary(k):
     # 3+sqrt(2) has minimal polynomial x^2 - 6x + 7 with both roots above 1,
@@ -400,25 +319,3 @@ def test_inexact_cyclotomic_division_raises(monkeypatch):
     monkeypatch.delitem(mod._CYCLO, 4, raising=False)
     with pytest.raises(InvariantBreachError):
         cyclotomic_poly(4)
-
-
-def test_ideal_factorization_guards():
-    P3, P5 = (prime_ideals_above(None, p)[0] for p in (3, 5))
-    with pytest.raises(InvariantBreachError):
-        IdealFactorization(((P5, 1), (P3, 1)))
-    with pytest.raises(InvariantBreachError):
-        IdealFactorization(((P3, 0),))
-
-
-def test_u_part_valuation_guard(monkeypatch):
-    import quadrec.certificates as mod
-    real = mod.ideal_split
-    P11 = prime_ideals_above(None, 11)[0]
-
-    def doubled(gamma, n, mode, field=None):
-        s = real(gamma, n, mode, field)
-        return dataclasses.replace(s, u_part=IdealFactorization(((P11, 2),)))
-
-    monkeypatch.setattr(mod, "ideal_split", doubled)
-    with pytest.raises(InvariantBreachError, match="valuation 2"):
-        certificate_for_n(2, 10)

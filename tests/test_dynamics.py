@@ -13,8 +13,8 @@ from quadrec.dynamics import (
     multiplicative_rank,
     orbit_period,
 )
-from quadrec.errors import (DegenerateInputError, ResourceLimitError,
-                            UsageError)
+from quadrec.errors import (DegenerateInputError, InvariantBreachError,
+                            ResourceLimitError, UsageError)
 from quadrec.periods import (RecurrenceTuple, fibonacci_tuple, is_degenerate,
                              period_bruteforce, rational_tuple,
                              standard_battery)
@@ -244,6 +244,22 @@ def test_orbit_rejects_singular_matrix():
     sys = companion_system(rational_tuple([2, 3], [1, 1]))
     with pytest.raises(DegenerateInputError):
         orbit_period(sys, 4)  # det = -6 shares a factor with 4
+
+
+def test_matrix_power_demands_a_positive_exponent():
+    from quadrec.dynamics import _mat_pow
+    M = (((0, 0), (1, 0)), ((1, 0), (1, 0)))  # Fibonacci mod 7 on (u, v) pairs
+    with pytest.raises(InvariantBreachError):
+        _mat_pow((0, 0, 7), M, 0)
+    assert _mat_pow((0, 0, 7), M, 16) == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+
+
+def test_rank_recombination_rejects_a_zero_log(monkeypatch):
+    import quadrec.dynamics as mod
+    # PHI^2 and PHI^3 are two non-torsion kernel vectors, so they recombine
+    monkeypatch.setattr(mod, "_archimedean_log", lambda x: 0.0)
+    with pytest.raises(InvariantBreachError):
+        multiplicative_rank([PHI ** 2, PHI ** 3])
 
 
 def test_orbit_budget():

@@ -15,7 +15,6 @@ from quadrec.periods import (
     _fib_pair,
     _int_state_period,
     char_coefficients,
-    divisibility_check,
     fibonacci_tuple,
     ideal_factorization,
     initial_terms,
@@ -69,6 +68,16 @@ def test_rational_tuple_companion_data():
     t3 = rational_tuple((2, 3, 5), (1, 1, 1))
     assert [c.as_fraction() for c in char_coefficients(t3)] == [30, -31, 10]
     assert [x.as_fraction() for x in initial_terms(t3)] == [3, 10, 38]
+
+
+def test_char_coefficients_demands_a_monic_expansion(monkeypatch):
+    t = rational_tuple((2, 3), (1, 1))
+    real = quadrec.periods.as_element
+    # a leading coefficient of 2 stands in for a broken expansion
+    monkeypatch.setattr(quadrec.periods, "as_element",
+                        lambda x, f=None: real(2 if x == 1 else x, f))
+    with pytest.raises(InvariantBreachError, match="monic"):
+        char_coefficients(t)
 
 
 def test_tuple_rejects_repeats_and_zeros():
@@ -361,15 +370,11 @@ def test_fib_pair_fast_doubling(k, m):
 
 
 def test_divisibility_examples():
-    for P in prime_ideals_above(K5, 11):
-        v = divisibility_check(FIB, P)
-        assert (v["period"], v["bound"]) == (10, 10)
-    (Q,) = prime_ideals_above(K5, 7)
-    v = divisibility_check(FIB, Q)
-    assert (v["period"], v["bound"]) == (16, 48)
-    for P in prime_ideals_above(K5, 29):
-        v = divisibility_check(FIB, P)
-        assert (v["period"], v["bound"]) == (14, 28)
+    # the period at P divides N(P) - 1
+    for p, period, bound in [(11, 10, 10), (7, 16, 48), (29, 14, 28)]:
+        for P in prime_ideals_above(K5, p):
+            assert period_formula(FIB, [(P, 1)]).period == period
+            assert P.norm - 1 == bound
 
 
 def test_divisibility_sweep():
@@ -378,7 +383,7 @@ def test_divisibility_sweep():
         if p in (2, 3):
             continue
         (P,) = prime_ideals_above(None, p)
-        assert divisibility_check(t, P)["divides"]
+        assert (P.norm - 1) % period_formula(t, [(P, 1)]).period == 0
 
 
 def test_stability_scaling():

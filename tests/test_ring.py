@@ -569,3 +569,36 @@ def test_sqrt_mod_prime_of_a_non_residue_raises():
         _sqrt_mod_prime(3, 17)  # 17 = 1 (mod 4): the Tonelli-Shanks branch
     assert _sqrt_mod_prime(2, 7) ** 2 % 7 == 2
     assert _sqrt_mod_prime(2, 17) ** 2 % 17 == 2
+
+
+def test_unnormalized_elements_are_rejected():
+    # the three normal-form invariants, each broken by direct construction
+    for field, a, b, den in [(None, 1, 0, 0), (None, 1, 0, -2),
+                             (K5, 2, 4, 6), (None, 1, 1, 1)]:
+        with pytest.raises(ValueError, match="unnormalized"):
+            QuadraticElement(field, a, b, den)
+    assert QuadraticElement(K5, 2, 3, 6) == qelem(K5, 2, 3, 6)
+
+
+def test_split_roots_rejects_a_prime_that_does_not_split():
+    from quadrec.ring import _split_roots
+    with pytest.raises(InvariantBreachError):
+        _split_roots(K5, 2)  # 2 is inert in Q(sqrt 5)
+    with pytest.raises(InvariantBreachError):
+        _split_roots(K5, 5)  # 5 ramifies: a double root
+    assert _split_roots(K5, 11) == (4, 8)
+
+
+def test_lift_root_rejects_a_non_root():
+    from quadrec.ring import _lift_root
+    t, n = K5.omega_trace, K5.omega_norm  # w^2 - w - 1
+    with pytest.raises(InvariantBreachError):
+        _lift_root(2, 11, 2, t, n)  # 2^2 - 2 - 1 = 1 (mod 11)
+    c = _lift_root(4, 11, 3, t, n)
+    assert (c * c - t * c + n) % 11 ** 3 == 0
+
+
+def test_valuation_rejects_a_prime_of_another_field():
+    (P,) = prime_ideals_above(quadratic_field(2), 3)
+    with pytest.raises(InvariantBreachError):
+        quad_valuation(PHI, P)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from quadrec.errors import DegenerateInputError, UsageError
+from quadrec.errors import DegenerateInputError, InvariantBreachError, UsageError
 from quadrec.ring import (
     as_element,
     prime_ideals_above,
@@ -128,6 +128,10 @@ def test_verdict_consistency():
     assert v.is_wieferich and v.k_p == 0 and v.p == 1093
     v2 = verdict(2, rational_prime(5))
     assert not v2.is_wieferich and v2.k_p == 3
+    with pytest.raises(InvariantBreachError):
+        WieferichVerdict(5, rational_prime(5), "2", 3, True)
+    with pytest.raises(InvariantBreachError):
+        WieferichVerdict(1093, rational_prime(1093), "2", 0, False)
 
 
 def test_x_base_predicate():
