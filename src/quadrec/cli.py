@@ -22,7 +22,7 @@ from typing import Optional
 from .certificates import certified_count
 from .dynamics import expected_counts, multiplicative_rank
 from .errors import DegenerateInputError, QuadrecError, UsageError
-from .heights import (DEFAULT_PRECISION, abc_quality, phi_norm_ratio, radical,
+from .heights import (DEFAULT_PRECISION, _quality, phi_norm_ratio, radical,
                       triple_height)
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
@@ -411,8 +411,7 @@ def _cmd_abc_quality(cfg: RunConfig, out) -> None:
         triple = (power, as_element(-1, g.field), one - power)
         h = triple_height(*triple, precision=cfg.precision)
         r = radical(*triple, precision=cfg.precision)
-        q = abc_quality(*triple, precision=cfg.precision)
-        rows.append((n, h, r, q))
+        rows.append((n, h, r, _quality(h, r)))
     _emit(cfg, ["n", "h", "rad", "q"], rows, out)
 
 

@@ -134,6 +134,16 @@ def _coerce_triple(xs, field):
     return [as_element(x, field) for x in xs]
 
 
+def _valuation_rows(xs) -> list[tuple[PrimeIdealData, list[int]]]:
+    """(P, [v_P(x) for x in xs]) for every prime ideal P dividing some x,
+    in order of first appearance."""
+    rows: dict[str, tuple[PrimeIdealData, list[int]]] = {}
+    for i, g in enumerate(xs):
+        for P, v in ideal_factors(g):
+            rows.setdefault(P.label(), (P, [0] * len(xs)))[1][i] = v
+    return list(rows.values())
+
+
 def triple_height(x1, x2, x3, field: Optional[QuadraticField] = None,
                   precision: int = DEFAULT_PRECISION) -> float:
     """Projective height of (x1 : x2 : x3)."""
@@ -142,14 +152,9 @@ def triple_height(x1, x2, x3, field: Optional[QuadraticField] = None,
     if not nz:
         raise UsageError("the zero triple has no height")
     deg = _degree(nz[0].field)
-    vals: dict[str, tuple[PrimeIdealData, list[int]]] = {}
-    for i, g in enumerate(nz):
-        for P, v in ideal_factors(g):
-            row = vals.setdefault(P.label(), (P, [0] * len(nz)))
-            row[1][i] = v
     with mpmath.workprec(precision):
         total = mpmath.mpf(0)
-        for P, vrow in vals.values():
+        for P, vrow in _valuation_rows(nz):
             m = min(vrow)
             if m:
                 total -= m * mpmath.log(P.norm)
@@ -167,14 +172,9 @@ def radical(x1, x2, x3, field: Optional[QuadraticField] = None,
     if any(g.is_zero() for g in xs):
         raise UsageError("radical requires nonzero coordinates")
     deg = _degree(xs[0].field)
-    vals: dict[str, tuple[PrimeIdealData, list[int]]] = {}
-    for i, g in enumerate(xs):
-        for P, v in ideal_factors(g):
-            row = vals.setdefault(P.label(), (P, [0, 0, 0]))
-            row[1][i] = v
     with mpmath.workprec(precision):
         total = mpmath.mpf(0)
-        for P, vrow in vals.values():
+        for P, vrow in _valuation_rows(xs):
             if len(set(vrow)) > 1:
                 total += mpmath.log(P.norm)
         return float(total / deg)
@@ -192,8 +192,12 @@ def abc_quality(x1, x2, x3, field: Optional[QuadraticField] = None,
         raise UsageError("quality requires nonzero coordinates")
     if not (xs[0] + xs[1] + xs[2]).is_zero():
         raise UsageError("quality is defined for zero-sum triples only")
-    h = triple_height(*xs, precision=precision)
-    r = radical(*xs, precision=precision)
+    return _quality(triple_height(*xs, precision=precision),
+                    radical(*xs, precision=precision))
+
+
+def _quality(h: float, r: float) -> float:
+    """h / r; a zero radical gives math.inf at positive height, else 0.0."""
     if r == 0.0:
         return math.inf if h > 0 else 0.0
     return h / r

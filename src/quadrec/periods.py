@@ -197,47 +197,22 @@ def period_formula(t: RecurrenceTuple,
 
 
 def _int_state_period(cs: list[int], xs: list[int], mod: int, budget: int) -> int:
-    """First return of the integer state vector; specialized small orders."""
-    m = len(cs)
-    if m == 1:
-        (c,) = cs
-        (s,) = xs
-        x, k = s, 0
-        while True:
-            x = c * x % mod
-            k += 1
-            if x == s:
-                return k
-            if k >= budget:
-                raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
-    if m == 2:
-        c0, c1 = cs
-        s0, s1 = xs
-        a, b, k = s0, s1, 0
-        while True:
-            a, b = b, (c0 * a + c1 * b) % mod
-            k += 1
-            if a == s0 and b == s1:
-                return k
-            if k >= budget:
-                raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
-    if m == 3:
-        c0, c1, c2 = cs
-        s0, s1, s2 = xs
-        a, b, c, k = s0, s1, s2, 0
-        while True:
-            a, b, c = b, c, (c0 * a + c1 * b + c2 * c) % mod
-            k += 1
-            if a == s0 and b == s1 and c == s2:
-                return k
-            if k >= budget:
-                raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
-    state, start, k = list(xs), tuple(xs), 0
+    """First return of an integer state of order m <= 3.
+
+    Orders below 3 get zero leading coefficients and a start state extended
+    by the recurrence, so one loop on the window (x_k, x_k+1, x_k+2) serves
+    all three; the window returns exactly when the order-m state does.
+    """
+    pad, xs = 3 - len(cs), list(xs)
+    for _ in range(pad):
+        xs.append(sum(c * x for c, x in zip(cs, xs[-len(cs):])) % mod)
+    c0, c1, c2 = [0] * pad + list(cs)
+    s0, s1, s2 = xs
+    a, b, c, k = s0, s1, s2, 0
     while True:
-        nxt = sum(ci * si for ci, si in zip(cs, state)) % mod
-        state = state[1:] + [nxt]
+        a, b, c = b, c, (c0 * a + c1 * b + c2 * c) % mod
         k += 1
-        if tuple(state) == start:
+        if a == s0 and b == s1 and c == s2:
             return k
         if k >= budget:
             raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
@@ -264,15 +239,18 @@ def _state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
                   t: int, n: int, mod: int, budget: Optional[int] = None) -> int:
     """First return of a state of (u, v) pairs mod `mod`, w^2 = t*w - n.
 
-    All-rational states (every v = 0) take the integer loop.  The default
-    budget is 6 times the square of the state space of one entry: 6*mod^2
-    for integers, 6*mod^4 for pairs.
+    All-rational states (every v = 0) of order at most 3 take the integer
+    window loop, every other state the pair loop.  The default budget is 6
+    times the square of the state space of one entry: 6*mod^2 for rational
+    states, 6*mod^4 for pairs.
     """
-    if all(v == 0 for _, v in cs + xs):
+    rational = all(v == 0 for _, v in cs + xs)
+    if budget is None:
+        budget = 6 * mod ** (2 if rational else 4)
+    if rational and len(cs) <= 3:
         return _int_state_period([u for u, _ in cs], [u for u, _ in xs], mod,
-                                 6 * mod ** 2 if budget is None else budget)
-    return _pair_state_period(cs, xs, t, n, mod,
-                              6 * mod ** 4 if budget is None else budget)
+                                 budget)
+    return _pair_state_period(cs, xs, t, n, mod, budget)
 
 
 def _to_pair(x: QuadraticElement, mod: int) -> tuple[int, int]:
@@ -351,28 +329,22 @@ def _is_fib_period(k: int, m: int) -> bool:
 
 
 def pisano_prime_power(p: int, e: int) -> int:
-    """Pisano period mod p^e.
+    """Pisano period mod p^e, with no state loop.
 
-    For p not in {2, 5}: order of the Fibonacci step matrix mod p found by
-    stripping a known multiple (p-1 split, 2(p+1) inert), then lifted one
-    power at a time; each lift multiplies the period by p or leaves it.
-    The two exceptional primes just iterate, their periods are tiny.
+    The order of the Fibonacci step matrix mod p is stripped from a known
+    multiple: p-1 when p splits in Q(sqrt(5)), 2(p+1) when it is inert
+    (p = 2 included), and pi(5) = 20 at the ramified p = 5.  It is then
+    lifted one power at a time; each lift multiplies the period by p or
+    leaves it (Wall 1960), at every prime.
     """
-    if p in (2, 5):
-        pe = p ** e
-        a, b, k = 0, 1, 0
-        while True:
-            a, b = b, (a + b) % pe
-            k += 1
-            if (a, b) == (0, 1):
-                return k
     sym = kronecker(5, p)
-    if sym == 0:
-        raise InvariantBreachError(f"kronecker(5, {p}) = 0 away from p = 5")
-    fac = dict(factorize(p - 1)) if sym == 1 else None
-    if fac is None:
+    if sym == 1:
+        fac = dict(factorize(p - 1))
+    elif sym == -1:
         fac = dict(factorize(p + 1))
         fac[2] = fac.get(2, 0) + 1  # multiple is 2(p+1) in the inert case
+    else:
+        fac = {2: 2, 5: 1}  # pi(5) = 20 at the ramified p = 5
     k = 1
     for q, a in fac.items():
         k *= q ** a
@@ -391,21 +363,8 @@ def pisano_prime_power(p: int, e: int) -> int:
 
 
 def pisano(m: int) -> int:
-    """Pisano period of m >= 1, as the lcm of the periods of its parts.
-
-    Only the 5-power part of m iterates: 5 ramifies in Q(sqrt(5)) and the
-    Binet pair is degenerate there, so 5^a goes to the brute-force oracle.
-    The cofactor takes the closed formula over the prime ideals above it.
-    """
+    """Pisano period of m >= 1: the lcm of pisano_prime_power over the prime
+    powers exactly dividing m, 5 included, so no part of m iterates."""
     if m < 1:
         raise UsageError("pisano is defined for positive integers")
-    fib = fibonacci_tuple()
-    five = 1
-    while m % 5 == 0:
-        m //= 5
-        five *= 5
-    period = period_bruteforce(fib, five).period if five > 1 else 1
-    if m > 1:
-        rest = period_formula(fib, ideal_factorization(quadratic_field(5), m))
-        period = math.lcm(period, rest.period)
-    return period
+    return math.lcm(*(pisano_prime_power(p, e) for p, e in factorize(m).items()))

@@ -825,28 +825,17 @@ class _ResidueRing:
         elif P.kind == "ramified":
             self.root = P.hensel_root
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, _ResidueRing):
-            return NotImplemented
-        return self.e == other.e and self.ideal == other.ideal
-
-    def __hash__(self) -> int:
-        return hash((self.ideal, self.e))
-
     def __repr__(self) -> str:
         return f"_ResidueRing({self.ideal.label()}^{self.e})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ResidueElement:
     """Element of O_K/P^e: one residue u mod p^e, or a coordinate pair u + v*w.
 
-    u and v are plain ints in [0, p^e); v is 0 outside inert rings.  All
-    elements from one reduce() call and everything computed from them share
-    one ring object, so + and * check for a common ring by identity; elements
-    of equal rings built apart still combine after comparing (P, e).
+    u and v are plain ints in [0, p^e); v is 0 outside inert rings.  There is
+    no arithmetic on elements: residue_pow is the one product, and callers
+    read (u, v) directly.  Equality is identity; compare (u, v) pairs.
     """
 
     ring: _ResidueRing
@@ -865,58 +854,14 @@ class ResidueElement:
     def pe(self) -> int:
         return self.ring.pe
 
-    def _same_ring(self, other: "ResidueElement") -> _ResidueRing:
-        ring = self.ring
-        if other.ring is not ring and other.ring != ring:
-            raise ValueError("residue elements from different rings")
-        return ring
-
-    def one(self) -> "ResidueElement":
-        return ResidueElement(self.ring, 1, 0)
-
     def is_one(self) -> bool:
         return self.u == 1 and self.v == 0
 
-    def __add__(self, other: "ResidueElement") -> "ResidueElement":
-        pe = self._same_ring(other).pe
-        return ResidueElement(self.ring, (self.u + other.u) % pe,
-                              (self.v + other.v) % pe)
-
-    def __mul__(self, other: "ResidueElement") -> "ResidueElement":
-        ring = self._same_ring(other)
-        pe = ring.pe
-        if not ring.pair:
-            return ResidueElement(ring, self.u * other.u % pe, 0)
-        t, n = ring.t, ring.n
-        u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-        return ResidueElement(
-            ring,
-            (u1 * u2 - n * v1 * v2) % pe,
-            (u1 * v2 + u2 * v1 + t * v1 * v2) % pe,
-        )
-
-    def _norm(self, m: int) -> int:
-        ring = self.ring
-        u, v = self.u, self.v
-        return (u * u + ring.t * u * v + ring.n * v * v) % m
-
     def is_unit(self) -> bool:
-        ring = self.ring
+        ring, u, v = self.ring, self.u, self.v
         if not ring.pair:
-            return self.u % ring.p != 0
-        return self._norm(ring.p) != 0
-
-    def inverse(self) -> "ResidueElement":
-        if not self.is_unit():
-            raise DegenerateInputError("not a unit in the residue ring")
-        ring = self.ring
-        pe = ring.pe
-        if not ring.pair:
-            return ResidueElement(ring, pow(self.u, -1, pe), 0)
-        ninv = pow(self._norm(pe), -1, pe)
-        # conjugate of u + v w is (u + t v) - v w
-        return ResidueElement(ring, (self.u + ring.t * self.v) * ninv % pe,
-                              -self.v * ninv % pe)
+            return u % ring.p != 0
+        return (u * u + ring.t * u * v + ring.n * v * v) % ring.p != 0  # norm
 
 
 def reduce(x, modulus: tuple[PrimeIdealData, int]) -> ResidueElement:

@@ -112,6 +112,17 @@ def pair_order_brute(u: int, v: int, p: int, e: int, t: int, n: int) -> int:
     return k
 
 
+def pair_add(x, y, m: int) -> tuple[int, int]:
+    """(u1 + v1*w) + (u2 + v2*w) mod m, as a pair (u, v)."""
+    return (x[0] + y[0]) % m, (x[1] + y[1]) % m
+
+
+def pair_mul(x, y, t: int, n: int, m: int) -> tuple[int, int]:
+    """(u1 + v1*w)(u2 + v2*w) mod m with w^2 = t*w - n, as a pair (u, v)."""
+    (u1, v1), (u2, v2) = x, y
+    return (u1 * u2 - n * v1 * v2) % m, (u1 * v2 + u2 * v1 + t * v1 * v2) % m
+
+
 def norm_fraction(a: int, b: int, den: int, t: int, n: int) -> Fraction:
     """N((a + b w)/den) straight from the definition."""
     return Fraction(a * a + t * a * b + n * b * b, den * den)

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of twenty-one fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of twenty-four fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -41,6 +41,14 @@ COMMANDS = {
     "period-custom-sqrt-2-119-json": ["period", "--tuple",
                                       "1+sqrt(2),1-sqrt(2);1,1",
                                       "--mod", "119", "--emit", "json"],
+    # rational tuples of orders 1, 3 and 4, each degenerate at a prime of its
+    # modulus (a weight of 7 or 11), so the CLI iterates all of it
+    "period-rational-order-1-70-json": ["period", "--tuple", "3;7", "--mod", "70",
+                                        "--emit", "json"],
+    "period-rational-order-3-1001-json": ["period", "--tuple", "2,3,5;7,1,1",
+                                          "--mod", "1001", "--emit", "json"],
+    "period-rational-order-4-143-json": ["period", "--tuple", "2,3,5,7;11,1,1,1",
+                                         "--mod", "143", "--emit", "json"],
     "abc-quality-base-2-csv": ["abc-quality", "--base", "2", "--n-to", "12"],
     "abc-quality-base-1-plus-sqrt-2-json": ["abc-quality", "--base", "1+sqrt(2)",
                                             "--n-to", "12", "--emit", "json"],

@@ -2,10 +2,14 @@
 
 An `assert` in src/ vanishes under `python -O`, so every invariant there must
 raise instead.  An imported name that the module never uses is dead weight
-that hides the module's real dependencies.
+that hides the module's real dependencies.  The period formula and its
+brute-force oracle must stay apart, so no formula-side function may name the
+oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
+name nothing from periods.
 """
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -45,6 +49,38 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
+FORMULA_ROUTE = ("period_formula", "multiplicative_order", "pisano_prime_power",
+                 "pisano", "_fib_pair", "_is_fib_period")
+ORACLE = {"period_bruteforce", "_state_period", "_int_state_period",
+          "_pair_state_period", "_pair_embedding", "_to_pair"}
+WSS_DETECTOR = ("wss_divisibility_test", "_mat_mul2")
+
+
+def _mentions(tree: ast.Module, funcs) -> dict[str, set[str]]:
+    """Every name and attribute that each of the top-level `funcs` mentions."""
+    found = {node.name: {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+             for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in funcs}
+    assert set(funcs) <= found.keys(), f"missing {sorted(set(funcs) - found.keys())}"
+    return found
+
+
+def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
+    periods, wieferich = _tree(src / "periods.py"), _tree(src / "wieferich.py")
+    from_periods = {"periods"} | {
+        alias.asname or alias.name for node in ast.walk(wieferich)
+        if isinstance(node, ast.ImportFrom) and node.module == "periods"
+        for alias in node.names}
+    leaks = {f: sorted(names & ORACLE)
+             for f, names in _mentions(periods, FORMULA_ROUTE).items()}
+    leaks.update({f: sorted(names & from_periods)
+                  for f, names in _mentions(wieferich, WSS_DETECTOR).items()})
+    leaks = {f: names for f, names in leaks.items() if names}
+    assert leaks == {}, f"formula side names the oracle: {leaks}"
+
+
 def test_the_checks_catch_what_they_look_for(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import os\nfrom math import gcd, lcm\n"
@@ -54,3 +90,15 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     with pytest.raises(AssertionError,
                        match=r"unused imports \[\(1, 'os'\), \(2, 'gcd'\)\]"):
         test_no_unused_imports(bad)
+    (tmp_path / "periods.py").write_text("".join(
+        f"def {f}(m):\n    return {'period_bruteforce(m)' if f == 'pisano' else 1}\n"
+        for f in FORMULA_ROUTE), encoding="utf-8")
+    (tmp_path / "wieferich.py").write_text(
+        "from .periods import pisano_prime_power\n"
+        "def _mat_mul2(A, B, m):\n    return A\n"
+        "def wss_divisibility_test(p):\n    return pisano_prime_power(p, 1)\n",
+        encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "{'pisano': ['period_bruteforce'], "
+            "'wss_divisibility_test': ['pisano_prime_power']}")):
+        test_formula_route_never_names_the_oracle(tmp_path)

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 import quadrec.periods
@@ -14,6 +14,7 @@ from quadrec.periods import (
     RecurrenceTuple,
     _fib_pair,
     _int_state_period,
+    _state_period,
     char_coefficients,
     fibonacci_tuple,
     ideal_factorization,
@@ -211,6 +212,49 @@ def test_state_loop_budget_guard():
         _int_state_period([1, 1], [0, 1], 7, 3)
 
 
+def test_order_four_rational_state_takes_the_pair_loop(monkeypatch):
+    budgets = []
+
+    def pair_loop(cs, xs, wt, wn, mod, budget):
+        budgets.append(budget)
+        return real(cs, xs, wt, wn, mod, budget)
+
+    real = quadrec.periods._pair_state_period
+    monkeypatch.setattr(quadrec.periods, "_pair_state_period", pair_loop)
+    # roots 2, 3, 5, 7 and weights 1: x_k+4 = -210 x_k + 247 x_k+1 - 101 x_k+2
+    # + 17 x_k+3, from x = 4, 17, 87, 503
+    cs = [(-210 % 143, 0), (247 % 143, 0), (-101 % 143, 0), (17, 0)]
+    xs = [(4, 0), (17, 0), (87, 0), (503 % 143, 0)]
+    assert _state_period(cs, xs, 0, 0, 143) == 60
+    assert budgets == [6 * 143 ** 2]
+    with pytest.raises(ResourceLimitError):
+        _state_period(cs, xs, 0, 0, 143, budget=59)
+
+
+def _first_return(roots, weights, m):
+    """Period of x_k = sum w r^k mod m from plain terms, by first return."""
+    coeffs = [1]
+    for r in roots:  # prod (x - r), lowest degree first
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    cs = [-c for c in coeffs[:-1]]
+    init = [sum(w * r ** k for r, w in zip(roots, weights)) for k in range(len(roots))]
+    xs = oracles.sequence_brute(cs, init, m, 2 * m + 8)
+    r = len(roots)
+    return next(k for k in range(1, m + 2) if xs[k:k + r] == xs[:r])
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(bool),
+                min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(min_value=-5, max_value=5).filter(bool),
+                min_size=4, max_size=4),
+       st.integers(min_value=2, max_value=200))
+def test_brute_rational_orders_one_to_four_match_plain_terms(roots, weights, m):
+    assume(math.gcd(math.prod(roots), m) == 1)
+    weights = weights[:len(roots)]
+    rep = period_bruteforce(rational_tuple(roots, weights), m)
+    assert rep.period == _first_return(roots, weights, m)
+
+
 @given(st.integers(min_value=0, max_value=60))
 def test_sequence_terms_follow_recurrence(seed):
     import random
@@ -283,14 +327,22 @@ def test_pisano_matches_iteration(m):
 
 @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=400))
 def test_pisano_five_power_moduli_match_iteration(a, k):
-    # only the 5-power part iterates; the cofactor takes the formula
+    # 5^a starts from pi(5) = 20 and lifts like every other prime power
     m = 5 ** a * k
     assert pisano(m) == oracles.pisano_brute(m)
 
 
+@given(st.integers(min_value=1, max_value=5000).filter(lambda m: m % 5))
+def test_pisano_matches_the_ideal_formula(m):
+    # the two formula routes check each other away from the ramified 5
+    rep = period_formula(FIB, ideal_factorization(K5, m))
+    assert pisano(m) == rep.period
+
+
 def test_pisano_degenerate_modulus_budget():
-    """5 * 1000003 iterates only mod 5; the brute-force route over the whole
-    modulus takes about 10^7 steps."""
+    """5 * 1000003 iterates nowhere: pi(5) = 20 is stripped like any other
+    multiple.  The brute-force route over the whole modulus takes about 10^7
+    steps."""
     best = math.inf
     for _ in range(5):
         t = time.perf_counter()
@@ -332,9 +384,12 @@ def test_pisano_prime_power_frozen():
 
 
 def test_pisano_prime_power_matches_brute():
-    for p in oracles.primes_below(50):
-        for e in (1, 2):
+    # 2 and 5 included: neither iterates, both lift by Wall's rule
+    for p in oracles.primes_below(60):
+        e = 1
+        while p ** e <= 10 ** 5:
             assert pisano_prime_power(p, e) == oracles.pisano_brute(p ** e), (p, e)
+            e += 1
 
 
 def test_pisano_prime_power_guard_on_kronecker(monkeypatch):

@@ -289,8 +289,11 @@ def test_reduction_is_a_ring_homomorphism(x, y):
                     rx, ry = reduce(x, mod), reduce(y, mod)
                 except DegenerateInputError:
                     continue  # denominator hits p
-                assert reduce(x + y, mod) == rx + ry
-                assert reduce(x * y, mod) == rx * ry
+                a, b, pe = (rx.u, rx.v), (ry.u, ry.v), P.p ** e
+                s, prod = reduce(x + y, mod), reduce(x * y, mod)
+                assert (s.u, s.v) == oracles.pair_add(a, b, pe)
+                assert (prod.u, prod.v) == oracles.pair_mul(
+                    a, b, K5.omega_trace, K5.omega_norm, pe)
 
 
 def test_unit_group_orders_frozen():
@@ -332,7 +335,6 @@ def test_fermat_for_residue_units(x):
                 if not r.is_unit():
                     continue
                 assert residue_pow(r, unit_group_order((P, e))).is_one()
-                assert (r.inverse() * r).is_one()
 
 
 def test_inert_pair_order_matches_brute():
