@@ -116,8 +116,9 @@ def multiplicative_rank(a, field: Optional[QuadraticField] = None
     support: dict[str, PrimeIdealData] = {}
     rows = []
     for g in gens:
-        rows.append({P.label(): v for P, v in ideal_factors(g)})
-        for P, _ in ideal_factors(g):
+        facs = ideal_factors(g)
+        rows.append({P.label(): v for P, v in facs})
+        for P, _ in facs:
             support.setdefault(P.label(), P)
     labels = sorted(support, key=lambda s: (support[s].p, s))
     matrix = tuple(tuple(row.get(lbl, 0) for lbl in labels) for row in rows)
@@ -180,10 +181,8 @@ def expected_counts(a, Ys: Sequence[int],
     if not Ys:
         return []
     gens = _coerce_generators(a, field)
-    r = multiplicative_rank(gens).free_rank
-    degenerate = set()
-    for g in gens:
-        degenerate |= {P.label() for P, _ in ideal_factors(g)}
+    rank = multiplicative_rank(gens)
+    r, degenerate = rank.free_rank, set(rank.support_primes)
     f = gens[0].field
     ys = sorted(set(Ys), reverse=True)
     totals = dict.fromkeys(ys, 0.0)

@@ -149,7 +149,7 @@ def multiplicative_order(x: ResidueElement) -> int:
     """
     if not x.is_unit():
         raise DegenerateInputError("multiplicative order of a non-unit")
-    P, e = x.ideal, x.e
+    P, e = x.ring.ideal, x.ring.e
     fac = dict(factorize(P.p - 1))
     if P.f == 2:
         for q, a in factorize(P.p + 1).items():

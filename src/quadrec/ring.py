@@ -452,20 +452,10 @@ class QuadraticElement:
     def is_zero(self) -> bool:
         return self.num_a == 0 and self.num_b == 0
 
-    def is_rational(self) -> bool:
-        return self.num_b == 0
-
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def as_fraction(self) -> Fraction:
         if self.num_b != 0:
             raise ValueError("not a rational value")
         return Fraction(self.num_a, self.den)
-
-    @property
-    def degree(self) -> int:
-        return 2 if self.field is not None else 1
 
     def with_field(self, field: QuadraticField) -> "QuadraticElement":
         if self.field is not None:
@@ -631,8 +621,10 @@ def is_torsion(x: QuadraticElement) -> bool:
 class PrimeIdealData:
     """A prime of Q (kind 'rational') or of a quadratic field, with splitting data.
 
-    hensel_root is the root of w's minimal polynomial mod p (split/ramified);
-    conjugate_flag picks which of the two split primes above p is meant.
+    Built only by prime_ideals_above.  hensel_root is the root of w's
+    minimal polynomial mod p that P carries (split/ramified): the smaller one
+    for the split ideal a, the larger for b.  conjugate_flag only names the
+    ideal (label b); the root already says which one P is.
     """
 
     field: Optional[QuadraticField]
@@ -674,53 +666,26 @@ def _split_roots(field: QuadraticField, p: int) -> tuple[int, int]:
     return (c1, c2) if c1 < c2 else (c2, c1)
 
 
-def splitting_type(field: QuadraticField, p: int) -> PrimeIdealData:
-    """The (canonical) prime ideal above p, kind set by the Kronecker symbol."""
+def prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeIdealData, ...]:
+    """All primes above p: one for Q, two for split p, one otherwise.
+
+    This is the one constructor of PrimeIdealData.  The kind comes from the
+    Kronecker symbol; split p gives the ideal a at the smaller root of w mod
+    p and b at the larger, and ramified p carries its double root.
+    """
     if not is_prime(p):
         raise UsageError(f"p={p} is not prime")
+    if field is None:
+        return (PrimeIdealData(None, p, "rational", 1, None),)
     k = kronecker(field.disc, p)
     if k == 1:
-        c1, _ = _split_roots(field, p)
-        return PrimeIdealData(field, p, "split", 1, c1, False)
+        c1, c2 = _split_roots(field, p)
+        return (PrimeIdealData(field, p, "split", 1, c1, False),
+                PrimeIdealData(field, p, "split", 1, c2, True))
     if k == -1:
-        return PrimeIdealData(field, p, "inert", 2, None)
-    # ramified: the unique (double) root mod p
-    if p == 2:
-        c = field.d % 2
-    else:
-        c = field.omega_trace * ((p + 1) // 2) % p
-    return PrimeIdealData(field, p, "ramified", 1, c)
-
-
-def prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeIdealData, ...]:
-    """All primes above p: one for Q, two for split p, one otherwise."""
-    if field is None:
-        if not is_prime(p):
-            raise UsageError(f"p={p} is not prime")
-        return (PrimeIdealData(None, p, "rational", 1, None),)
-    P = splitting_type(field, p)
-    if P.kind != "split":
-        return (P,)
-    c2 = (field.omega_trace - P.hensel_root) % p  # the two roots sum to the trace
-    return (P, PrimeIdealData(field, p, "split", 1, c2, True))
-
-
-def hensel_root(field: QuadraticField, p: int, e: int, conjugate: bool = False) -> int:
-    """Root of w^2 - t w + n mod p^e, lifting the chosen root mod p."""
-    if e < 1:
-        raise UsageError("exponent must be >= 1")
-    P = splitting_type(field, p)
-    if P.kind == "inert":
-        raise DegenerateInputError(f"p={p} is inert in d={field.d}: no root exists")
-    if P.kind == "ramified":
-        if e >= 2:
-            raise DegenerateInputError(
-                f"p={p} ramifies in d={field.d}: the root does not lift past e=1"
-            )
-        return P.hensel_root
-    c1, c2 = _split_roots(field, p)
-    return _lift_root(c2 if conjugate else c1, p, e,
-                      field.omega_trace, field.omega_norm)
+        return (PrimeIdealData(field, p, "inert", 2, None),)
+    c = field.d % 2 if p == 2 else field.omega_trace * ((p + 1) // 2) % p
+    return (PrimeIdealData(field, p, "ramified", 1, c),)
 
 
 def _lift_root(c: int, p: int, e: int, t: int, n: int) -> int:
@@ -738,7 +703,11 @@ def _lift_root(c: int, p: int, e: int, t: int, n: int) -> int:
 
 
 def quad_valuation(x: QuadraticElement, P: PrimeIdealData) -> int:
-    """Exact valuation of x != 0 at P; additive in products."""
+    """Exact valuation of x != 0 at P; additive in products.
+
+    At split P the norm's p-valuation m bounds v_P(x); P.hensel_root is
+    lifted to p^m and a + b*root is read mod p^m.
+    """
     if x.is_zero():
         raise ValueError("the zero element has no finite valuation")
     p = P.p
@@ -768,7 +737,7 @@ def quad_valuation(x: QuadraticElement, P: PrimeIdealData) -> int:
         elif m == 0:
             vnum = 0
         else:
-            c = hensel_root(x.field, p, m, P.conjugate_flag)
+            c = _lift_root(P.hensel_root, p, m, t, n)
             w = (a + b * c) % p ** m
             vnum = m if w == 0 else _vp(w, p) if w % p == 0 else 0
     return vnum - vden
@@ -841,18 +810,6 @@ class ResidueElement:
     ring: _ResidueRing
     u: int
     v: int = 0
-
-    @property
-    def ideal(self) -> PrimeIdealData:
-        return self.ring.ideal
-
-    @property
-    def e(self) -> int:
-        return self.ring.e
-
-    @property
-    def pe(self) -> int:
-        return self.ring.pe
 
     def is_one(self) -> bool:
         return self.u == 1 and self.v == 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, UsageError
-from .ring import (as_element, iter_primes, prime_ideals_above, quad_valuation,
+from .ring import (as_element, ideal_factors, iter_primes, prime_ideals_above,
                    quadratic_field)
 from .wieferich import fermat_quotient_residue, wall_period_test, wss_divisibility_test
 
@@ -175,16 +175,17 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     """Hits are primes where base is Wieferich at some unramified ideal.
 
     One hit record per qualifying ideal; `aggregate` is set when every
-    admissible ideal above p qualifies at once.
+    admissible ideal above p qualifies at once.  An ideal is admissible
+    when it is unramified and outside the base's support, which is
+    factored once here.
     """
     fld = quadratic_field(field_d) if field_d is not None else None
     g = as_element(base, fld)
-
-    def admissible(P):
-        return P.kind != "ramified" and quad_valuation(g, P) == 0
+    support = {P.label() for P, _ in ideal_factors(g)}
 
     def test(p: int) -> Optional[dict]:
-        ideals = [P for P in prime_ideals_above(g.field, p) if admissible(P)]
+        ideals = [P for P in prime_ideals_above(g.field, p)
+                  if P.kind != "ramified" and P.label() not in support]
         if not ideals:
             return None
         ks = {P.label(): fermat_quotient_residue(g, P) for P in ideals}

@@ -26,20 +26,6 @@ from .ring import (
 
 
 @dataclass(frozen=True)
-class WieferichVerdict:
-    p: int
-    prime_ideal: PrimeIdealData
-    base: str
-    k_p: int
-    is_wieferich: bool
-
-    def __post_init__(self):
-        if self.is_wieferich != (self.k_p == 0):
-            raise InvariantBreachError(
-                f"verdict {self.is_wieferich} contradicts k_p = {self.k_p}")
-
-
-@dataclass(frozen=True)
 class WallVerdict:
     p: int
     pi_p: int
@@ -52,15 +38,17 @@ def fermat_quotient_residue(gamma, P: PrimeIdealData) -> int:
 
     p itself is the uniformizer at every unramified prime; for inert P the
     quotient lives in the residue field F_{p^2} and is encoded as s + t*p
-    from the coordinate pair s + t*w.
+    from the coordinate pair s + t*w.  gamma must be a P-unit: reduce
+    refuses gamma not integral at P, and at unramified P an integral gamma
+    has v_P(gamma) = 0 exactly when it is a unit mod P^2.
     """
     if P.kind == "ramified":
         raise DegenerateInputError(f"{P.label()} is ramified: no Wieferich verdict")
-    g = as_element(gamma, P.field)
-    if quad_valuation(g, P) != 0:
+    x = reduce(gamma, (P, 2))
+    if not x.is_unit():
         raise DegenerateInputError(f"base has nonzero valuation at {P.label()}")
     p = P.p
-    y = residue_pow(reduce(g, (P, 2)), P.norm - 1)
+    y = residue_pow(x, P.norm - 1)
     if (y.u - 1) % p != 0 or y.v % p != 0:
         raise InvariantBreachError(
             f"gamma^(N(P)-1) is not 1 mod {P.label()}: Fermat's little theorem fails"
@@ -75,12 +63,6 @@ def fermat_quotient_residue(gamma, P: PrimeIdealData) -> int:
 def is_alpha_wieferich(gamma, P: PrimeIdealData) -> bool:
     """True iff gamma^(N(P)-1) = 1 mod P^2; torsion bases qualify trivially."""
     return fermat_quotient_residue(gamma, P) == 0
-
-
-def verdict(gamma, P: PrimeIdealData) -> WieferichVerdict:
-    g = as_element(gamma, P.field)
-    k = fermat_quotient_residue(g, P)
-    return WieferichVerdict(P.p, P, str(g), k, k == 0)
 
 
 def is_x_fw_prime(X: Sequence, P: PrimeIdealData) -> bool:

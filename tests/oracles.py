@@ -126,3 +126,32 @@ def pair_mul(x, y, t: int, n: int, m: int) -> tuple[int, int]:
 def norm_fraction(a: int, b: int, den: int, t: int, n: int) -> Fraction:
     """N((a + b w)/den) straight from the definition."""
     return Fraction(a * a + t * a * b + n * b * b, den * den)
+
+
+def omega_poly(d: int) -> tuple[int, int]:
+    """(t, n) with w^2 - t*w + n = 0 for the integral basis (1, w) of Q(sqrt d)."""
+    return (1, (1 - d) // 4) if d % 4 == 1 else (0, -d)
+
+
+def roots_of_omega_brute(d: int, m: int) -> list[int]:
+    """Roots of w^2 - t*w + n mod m, ascending, by trying every residue."""
+    t, n = omega_poly(d)
+    return [r for r in range(m) if (r * r - t * r + n) % m == 0]
+
+
+def split_valuation_brute(a: int, b: int, d: int, p: int, root: int,
+                          limit: int = 10 ** 5):
+    """v_P(a + b*w) for integral a + b*w != 0 at the split P with w = root mod p.
+
+    The largest k with a + b*c_k = 0 (mod p^k), where c_k is the root mod
+    p^k above root, found by enumeration; None once p^k would pass limit.
+    """
+    k = 0
+    while True:
+        pk = p ** (k + 1)
+        if pk > limit:
+            return None
+        (c,) = [c for c in roots_of_omega_brute(d, pk) if c % p == root]
+        if (a + b * c) % pk:
+            return k
+        k += 1

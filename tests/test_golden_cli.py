@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of twenty-four fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of twenty-six fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -24,6 +24,10 @@ COMMANDS = {
                                       "--to", "20000", "--emit", "csv"],
     "search-wieferich-base-3-workers-2": ["search-wieferich", "--base", "3",
                                           "--to", "20000", "--workers", "2"],
+    # 7a lies in the support of 1+2*sqrt(2) (norm -7), so 7 hits at 7b alone
+    "search-wieferich-base-1-plus-2-sqrt-2-csv": ["search-wieferich", "--base",
+                                                  "1+2*sqrt(2)", "--to", "20000",
+                                                  "--emit", "csv"],
     "search-wss": ["search-wss", "--to", "20000"],
     "search-wss-csv": ["search-wss", "--to", "20000", "--emit", "csv"],
     "certify-base-2": ["certify", "--base", "2", "--bound", "1000000000000"],
@@ -62,6 +66,8 @@ COMMANDS = {
                           "--bound", "1000"],
     "heuristic-2-3-json": ["heuristic", "--gen", "2", "--gen", "3",
                            "--bound", "1000", "--emit", "json"],
+    "heuristic-1-plus-2-sqrt-2-3": ["heuristic", "--gen", "1+2*sqrt(2)",
+                                    "--gen", "3", "--bound", "100000"],
 }
 
 

@@ -5,7 +5,8 @@ raise instead.  An imported name that the module never uses is dead weight
 that hides the module's real dependencies.  The period formula and its
 brute-force oracle must stay apart, so no formula-side function may name the
 oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
-name nothing from periods.
+name nothing from periods.  Every function, class and method in src/ must be
+named by some code or by README.md; one that nothing names is dead weight.
 """
 import ast
 import pathlib
@@ -13,7 +14,8 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quadrec"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "quadrec"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -81,6 +83,47 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
 
+def _definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes, and every non-dunder method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Names, attributes and imports in code, and strings that are one name."""
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name.rsplit(".", 1)[-1])
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n.value.isidentifier()):
+            used.add(n.value)
+    return used
+
+
+def test_every_definition_is_named_somewhere(root: pathlib.Path = ROOT):
+    sources = sorted((root / "src" / "quadrec").glob("*.py"))
+    code = (sources + sorted((root / "tests").rglob("*.py"))
+            + sorted((root / "perfbench").rglob("*.py")))
+    used = set().union(*(_names_used(_tree(path)) for path in code))
+    used |= set(re.findall(r"\w+", (root / "README.md").read_text(encoding="utf-8")))
+    dead = {path.name: unnamed for path in sources
+            if (unnamed := [d for d in _definitions(_tree(path))
+                            if d.rsplit(".", 1)[-1] not in used])}
+    assert dead == {}, f"defined but never named: {dead}"
+
+
 def test_the_checks_catch_what_they_look_for(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import os\nfrom math import gcd, lcm\n"
@@ -102,3 +145,20 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "{'pisano': ['period_bruteforce'], "
             "'wss_divisibility_test': ['pisano_prime_power']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
+    # spare is only in a docstring, helper only in README.md, orphan only in
+    # a test's import, and Elt.used only in code
+    (tmp_path / "src" / "quadrec").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "quadrec" / "ring.py").write_text(
+        "class Elt:\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def used(self):\n        return 1\n"
+        "    def spare(self):\n        return 2\n"
+        "def helper():\n    \"\"\"Not spare.\"\"\"\n"
+        "def orphan():\n    return Elt().used()\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_ring.py").write_text(
+        "from quadrec.ring import orphan\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text("Call `helper()`.\n", encoding="utf-8")
+    with pytest.raises(AssertionError,
+                       match=re.escape("{'ring.py': ['Elt.spare']}")):
+        test_every_definition_is_named_somewhere(tmp_path)

@@ -35,7 +35,6 @@ from quadrec.ring import (
     qelem,
     quadratic_field,
     reduce,
-    splitting_type,
 )
 
 K5 = quadratic_field(5)
@@ -282,7 +281,7 @@ def test_formula_equals_brute_small_sweep():
             if fld is None:
                 ideals = prime_ideals_above(None, p)
             else:
-                P = splitting_type(fld, p)
+                P = prime_ideals_above(fld, p)[0]
                 if P.kind == "ramified":
                     continue
                 ideals = prime_ideals_above(fld, p)
@@ -447,7 +446,7 @@ def test_stability_scaling():
         fld = t.field()
         for p in oracles.primes_below(50):
             if fld is not None:
-                P = splitting_type(fld, p)
+                P = prime_ideals_above(fld, p)[0]
                 if P.kind == "ramified" or is_degenerate(t, P):
                     continue
             else:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from quadrec.errors import (DegenerateInputError, FactorizationError,
@@ -10,10 +10,10 @@ from quadrec.errors import (DegenerateInputError, FactorizationError,
 from quadrec.ring import (
     PrimeIdealData,
     QuadraticElement,
+    _lift_root,
     as_element,
     factorize,
     field_norm,
-    hensel_root,
     is_prime,
     is_torsion,
     kronecker,
@@ -23,7 +23,6 @@ from quadrec.ring import (
     quadratic_field,
     reduce,
     residue_pow,
-    splitting_type,
     sqrt_element,
     unit_group_order,
 )
@@ -111,7 +110,7 @@ def test_conjugation_is_a_ring_map(x, y):
 @given(elements(2))
 def test_norm_equals_self_times_conjugate(x):
     prod = x * x.conjugate()
-    assert prod.is_rational()
+    assert prod.num_b == 0
     assert prod.as_fraction() == field_norm(x)
 
 
@@ -137,10 +136,10 @@ def test_torsion_lists():
 
 
 def test_splitting_in_golden_field():
-    assert splitting_type(K5, 11).kind == "split"
-    assert splitting_type(K5, 5).kind == "ramified"
-    assert splitting_type(K5, 7).kind == "inert"
-    assert splitting_type(K5, 2).kind == "inert"  # disc 5 = 5 mod 8
+    assert prime_ideals_above(K5, 11)[0].kind == "split"
+    assert prime_ideals_above(K5, 5)[0].kind == "ramified"
+    assert prime_ideals_above(K5, 7)[0].kind == "inert"
+    assert prime_ideals_above(K5, 2)[0].kind == "inert"  # disc 5 = 5 mod 8
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -178,6 +177,31 @@ def test_ideal_norms_and_labels():
     assert R.norm == 5 and R.ram_index == 2
 
 
+ORACLE_FIELDS = (5, 2, -1, -3, 13, -7)
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.sampled_from(oracles.primes_below(2000)))
+@example(5, 2)
+@example(2, 2)
+@example(-1, 2)
+@example(-3, 2)
+@example(13, 2)
+@example(-7, 2)
+def test_prime_ideals_match_enumerated_roots(d, p):
+    # a carries the smaller root of w mod p, b the larger; inert p has no
+    # root and ramified p has its double root
+    roots = oracles.roots_of_omega_brute(d, p)
+    if not roots:
+        want = [("inert", f"{p}i", 2, None)]
+    elif len(roots) == 1:
+        want = [("ramified", f"{p}r", 1, roots[0])]
+    else:
+        want = [("split", f"{p}{s}", 1, r) for s, r in zip("ab", roots)]
+    got = [(P.kind, P.label(), P.f, P.hensel_root)
+           for P in prime_ideals_above(quadratic_field(d), p)]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Hensel lifting
 
@@ -190,29 +214,35 @@ def test_root_mod_11_exhaustive():
     assert {P1.hensel_root, P2.hensel_root} == {4, 8}
 
 
+def _lifted(P, e):
+    return _lift_root(P.hensel_root, P.p, e, K5.omega_trace, K5.omega_norm)
+
+
 def test_lift_to_prime_square():
-    c = hensel_root(K5, 11, 2)
-    assert (c * c - c - 1) % 121 == 0
-    assert c % 11 in (4, 8)
-    c2 = hensel_root(K5, 11, 2, conjugate=True)
-    assert (c2 * c2 - c2 - 1) % 121 == 0
+    Pa, Pb = prime_ideals_above(K5, 11)
+    c, c2 = _lifted(Pa, 2), _lifted(Pb, 2)
+    for r, P in ((c, Pa), (c2, Pb)):
+        assert (r * r - r - 1) % 121 == 0
+        assert r % 11 == P.hensel_root
     assert (c + c2) % 121 == 1  # root sum = trace of w
 
 
 @given(st.integers(min_value=1, max_value=6))
 def test_lift_tower_consistency(e):
-    c = hensel_root(K5, 11, e)
-    assert (c * c - c - 1) % 11 ** e == 0
-    if e > 1:
-        assert c % 11 ** (e - 1) == hensel_root(K5, 11, e - 1)
+    for P in prime_ideals_above(K5, 11):
+        c = _lifted(P, e)
+        assert (c * c - c - 1) % 11 ** e == 0
+        if e > 1:
+            assert c % 11 ** (e - 1) == _lifted(P, e - 1)
 
 
 def test_lift_refuses_inert_and_deep_ramified():
+    (Q,) = prime_ideals_above(K5, 7)
+    assert Q.hensel_root is None  # inert: no root of w mod 7
+    (R,) = prime_ideals_above(K5, 5)
+    assert R.hensel_root == 3  # 2x = 1 mod 5
     with pytest.raises(DegenerateInputError):
-        hensel_root(K5, 7, 1)
-    assert hensel_root(K5, 5, 1) == 3  # 2x = 1 mod 5
-    with pytest.raises(DegenerateInputError):
-        hensel_root(K5, 5, 2)
+        reduce(PHI, (R, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +264,25 @@ def test_valuation_spot_checks():
     assert quad_valuation(PHI, P1) == 0  # unit: norm -1
     (S,) = prime_ideals_above(None, 3)
     assert quad_valuation(as_element(Fraction(18, 5)), S) == 2
+
+
+@given(st.sampled_from((5, 2, -1)), st.integers(-1000, 1000),
+       st.integers(-1000, 1000), st.integers(1, 30), st.integers(0, 3))
+def test_split_valuation_matches_enumerated_lifts(d, a, b, den, j):
+    # (root - w)^j lies in P^j, so valuations above 1 come up often
+    assume(a or b)
+    K = quadratic_field(d)
+    for p in oracles.primes_below(30):
+        roots = oracles.roots_of_omega_brute(d, p)
+        if len(roots) != 2:
+            continue
+        for P, root in zip(prime_ideals_above(K, p), roots):
+            x = qelem(K, a, b, den) * qelem(K, root, -1) ** j
+            v_num = oracles.split_valuation_brute(x.num_a, x.num_b, d, p, root)
+            if v_num is None:
+                continue  # past what enumeration decides
+            v_den = next(k for k in range(99) if x.den % p ** (k + 1))
+            assert quad_valuation(x, P) == v_num - v_den, (P.label(), x)
 
 
 @given(elements(5).filter(lambda x: not x.is_zero()),
@@ -311,7 +360,7 @@ def test_unit_group_orders_exhaustive():
     for d in (5, 2, -1):
         K = quadratic_field(d)
         for p in (2, 3, 5, 7, 11, 13):
-            P = splitting_type(K, p)
+            P = prime_ideals_above(K, p)[0]
             if P.kind == "ramified":
                 continue
             for e in (1, 2):
@@ -592,7 +641,6 @@ def test_split_roots_rejects_a_prime_that_does_not_split():
 
 
 def test_lift_root_rejects_a_non_root():
-    from quadrec.ring import _lift_root
     t, n = K5.omega_trace, K5.omega_norm  # w^2 - w - 1
     with pytest.raises(InvariantBreachError):
         _lift_root(2, 11, 2, t, n)  # 2^2 - 2 - 1 = 1 (mod 11)

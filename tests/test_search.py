@@ -56,6 +56,32 @@ def test_quadratic_base_scan_runs():
     assert all(pred.verify(h) for h in ck.hits)
 
 
+def _hit_by_valuation(g, p):
+    """The hit record by the rule that reads v_P(g) at every ideal."""
+    from quadrec.ring import prime_ideals_above, quad_valuation
+    from quadrec.wieferich import fermat_quotient_residue
+
+    ideals = [P for P in prime_ideals_above(g.field, p)
+              if P.kind != "ramified" and quad_valuation(g, P) == 0]
+    hits = sorted(P.label() for P in ideals if fermat_quotient_residue(g, P) == 0)
+    if not hits:
+        return None
+    return {"p": p, "ideals": hits, "aggregate": len(hits) == len(ideals)}
+
+
+def test_predicate_support_rule_matches_the_valuation_rule():
+    from quadrec.ring import as_element, qelem, quadratic_field
+
+    bases = [(2, None), (6, None),
+             (qelem(quadratic_field(5), 0, 1), 5),    # (1+sqrt 5)/2
+             (qelem(quadratic_field(2), 1, 2), 2),    # 1+2*sqrt 2
+             (qelem(quadratic_field(-7), 0, 1), -7)]  # (1+sqrt -7)/2
+    for g, d in bases:
+        test = wieferich_predicate(g, d).test
+        for p in oracles.primes_below(3000):
+            assert test(p) == _hit_by_valuation(as_element(g), p), (str(g), p)
+
+
 def test_wall_scan_small_slice():
     ck = search_range(wall_predicate(), 2, 3000)
     assert ck.hits == []

@@ -5,21 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from quadrec.errors import DegenerateInputError, InvariantBreachError, UsageError
+from quadrec.errors import DegenerateInputError, UsageError
 from quadrec.ring import (
     as_element,
     prime_ideals_above,
     qelem,
     quadratic_field,
-    splitting_type,
 )
 from quadrec.wieferich import (
-    WieferichVerdict,
     count_non_wieferich,
     fermat_quotient_residue,
     is_alpha_wieferich,
     is_x_fw_prime,
-    verdict,
     wall_period_test,
     wss_divisibility_test,
 )
@@ -75,6 +72,18 @@ def test_quotient_rejects_ramified_and_degenerate():
         fermat_quotient_residue(Fraction(1, 7), rational_prime(7))
 
 
+def test_quotient_rejects_a_base_that_is_no_unit_at_a_split_prime():
+    # N(1 + 2*sqrt 2) = -7: the base lies in 7a, and its inverse has
+    # valuation -1 there; 7b is a unit prime for both
+    K2 = quadratic_field(2)
+    g = qelem(K2, 1, 2)
+    Pa, Pb = prime_ideals_above(K2, 7)
+    for x in (g, 1 / g):
+        with pytest.raises(DegenerateInputError):
+            fermat_quotient_residue(x, Pa)
+        assert 0 <= fermat_quotient_residue(x, Pb) < 7
+
+
 def test_quotient_split_denominator_cancellation():
     # x = 11/(4 - w) has zero valuation at one prime above 11 even though 11
     # divides the norm of the denominator; the quotient must still compute
@@ -120,18 +129,6 @@ def test_alpha_wieferich_spots():
     assert not is_alpha_wieferich(2, rational_prime(5))
     assert is_alpha_wieferich(1, rational_prime(97))
     assert is_alpha_wieferich(3, rational_prime(11))  # 3^5 = 243 = 2*121 + 1
-
-
-def test_verdict_consistency():
-    v = verdict(2, rational_prime(1093))
-    assert isinstance(v, WieferichVerdict)
-    assert v.is_wieferich and v.k_p == 0 and v.p == 1093
-    v2 = verdict(2, rational_prime(5))
-    assert not v2.is_wieferich and v2.k_p == 3
-    with pytest.raises(InvariantBreachError):
-        WieferichVerdict(5, rational_prime(5), "2", 3, True)
-    with pytest.raises(InvariantBreachError):
-        WieferichVerdict(1093, rational_prime(1093), "2", 0, False)
 
 
 def test_x_base_predicate():
