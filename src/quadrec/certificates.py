@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
 from .periods import multiplicative_order
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
-    QuadraticField,
     ResidueElement,
     as_element,
     factorize,
@@ -78,10 +76,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return out
 
 
-def cyclotomic_value(gamma, n: int,
-                     field: Optional[QuadraticField] = None) -> QuadraticElement:
+def cyclotomic_value(gamma, n: int) -> QuadraticElement:
     """Phi_n(gamma), exactly, by Horner evaluation."""
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     acc = as_element(0, g.field)
     for c in reversed(cyclotomic_poly(n)):
         acc = acc * g + c
@@ -109,9 +106,7 @@ class NonWieferichCertificate:
         return self.k_p != 0
 
 
-def certificate_for_n(gamma, n: int,
-                      field: Optional[QuadraticField] = None
-                      ) -> list[NonWieferichCertificate]:
+def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
     """Certificates from the primes that divide Phi_n(gamma) exactly once.
 
     Filter: v_P(Phi_n(gamma)) = 1, P unramified, p does not divide n, and P
@@ -122,7 +117,7 @@ def certificate_for_n(gamma, n: int,
     The order is proven equal to n from gamma^n = 1 and gamma^(n/r) != 1
     (mod P) for each prime r | n, so N(P) +- 1 is never factored.
     """
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     if is_torsion(g):
         raise UsageError("torsion base certifies nothing")
     factors = ideal_factors(cyclotomic_value(g, n), index=n)
@@ -167,8 +162,7 @@ class CertifiedCount:
     certificates: tuple[NonWieferichCertificate, ...] = ()
 
 
-def witness_limit(gamma, bound: int,
-                  field: Optional[QuadraticField] = None) -> int:
+def witness_limit(gamma, bound: int) -> int:
     """Largest admissible witness index: n <= (log bound - log 2)/h(gamma),
     ties at the boundary included.
 
@@ -179,7 +173,7 @@ def witness_limit(gamma, bound: int,
     of a and |c|, and also of (|b| + sqrt(D))/2 when D > 0; that candidate
     is compared through (|b| + sqrt(D))^n = U + V*sqrt(D).
     """
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     if is_torsion(g):
         raise UsageError("torsion base certifies nothing")
     if g.is_zero():
@@ -218,14 +212,12 @@ def _min_poly(g: QuadraticElement) -> tuple[int, int, int]:
     return a // k, b // k, c // k
 
 
-def certified_count(gamma, bound: int,
-                    field: Optional[QuadraticField] = None,
-                    log=None) -> CertifiedCount:
+def certified_count(gamma, bound: int, log=None) -> CertifiedCount:
     """Distinct certified non-Wieferich primes of norm <= bound.
 
     An unfactorable Phi_n(gamma) skips that n (the count stays a lower bound).
     """
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     n_max = witness_limit(g, bound)
     seen: dict[str, int] = {}
     kept: set[str] = set()

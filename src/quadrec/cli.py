@@ -26,7 +26,8 @@ from .heights import (DEFAULT_PRECISION, _quality, phi_norm_ratio, radical,
                       triple_height)
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
-from .ring import QuadraticElement, as_element, quadratic_field, sqrt_element
+from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
+                   sqrt_element)
 from .search import _dumps, search_range, wall_predicate, wieferich_predicate
 
 PRECISION_ENV = "QUADREC_PRECISION"
@@ -153,13 +154,13 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="quadrec", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, *, base=False, field=True, emit=("json", "csv")):
+    def common(sp, *, base=False, field_d=True, emit=("json", "csv")):
         if base:
             sp.add_argument("--base", required=True, action=_Once,
                             help="rational or quadratic literal, e.g. 2, 3/2, "
                                  "(1+sqrt(5))/2")
-        if field:
-            sp.add_argument("--field-d", type=int, default=None,
+        if field_d:
+            sp.add_argument("--field-d", type=int, default=None, action=_Once,
                             help="squarefree field discriminant parameter d")
         if emit:
             sp.add_argument("--emit", choices=emit, default=emit[0])
@@ -175,7 +176,7 @@ def _build_parser() -> _Parser:
         if name == "search-wieferich":
             common(sp, base=True)
         else:
-            common(sp, field=False)
+            common(sp, field_d=False)
         sp.add_argument("--from", dest="lo", type=int, default=2)
         sp.add_argument("--to", dest="hi", type=int, required=True)
         sp.add_argument("--checkpoint", default=None)
@@ -210,16 +211,26 @@ def _build_parser() -> _Parser:
 _PRESETS = {"fibonacci": fibonacci_tuple, "lucas": lucas_tuple}
 
 
+def _one_field(xs) -> list[QuadraticElement]:
+    """as_elements, reporting literals from two fields as a usage error."""
+    try:
+        return as_elements(xs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _tuple_parts(spec: str, field_d: Optional[int]
                  ) -> tuple[list[QuadraticElement], list[QuadraticElement]]:
-    """Roots and weights of a 'r1,r2;w1,w2' spec, parsed and checked."""
+    """Roots and weights of a 'r1,r2;w1,w2' spec, parsed, checked and put
+    in one field."""
     if ";" not in spec:
         raise UsageError("tuple must be a preset name or 'roots;weights'")
     roots, weights = ([parse_quadratic(s, field_d) for s in part.split(",") if s]
                       for part in spec.split(";", 1))
     if not roots or len(roots) != len(weights):
         raise UsageError("tuple needs equally many roots and weights")
-    return roots, weights
+    xs = _one_field(roots + weights)
+    return xs[:len(roots)], xs[len(roots):]
 
 
 def _canonical_tuple_spec(spec: str, field_d: Optional[int]) -> str:
@@ -233,10 +244,7 @@ def _resolve_tuple(spec: str, field_d: Optional[int]) -> RecurrenceTuple:
     if spec in _PRESETS:
         return _PRESETS[spec]()
     roots, weights = _tuple_parts(spec, field_d)
-    field = next((x.field for x in roots + weights if x.field is not None), None)
-    return RecurrenceTuple(tuple(as_element(r, field) for r in roots),
-                           tuple(as_element(w, field) for w in weights),
-                           name="custom")
+    return RecurrenceTuple(tuple(roots), tuple(weights), name="custom")
 
 
 def parse_args(argv) -> RunConfig:
@@ -267,9 +275,8 @@ def parse_args(argv) -> RunConfig:
         fields["tuple_spec"] = _canonical_tuple_spec(
             ns.tuple_spec, fields.get("field_d"))
     if getattr(ns, "gens", None):
-        fields["gens"] = tuple(
-            format_quadratic(parse_quadratic(s, fields.get("field_d")))
-            for s in ns.gens)
+        fields["gens"] = tuple(map(format_quadratic, _one_field(
+            [parse_quadratic(s, fields.get("field_d")) for s in ns.gens])))
     return RunConfig(**fields)
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvariantBreachError, ResourceLimitError, UsageError
 from .heights import local_values
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, initial_terms,
                       period_formula)
-from .ring import (PrimeIdealData, QuadraticElement, QuadraticField,
-                   as_element, ideal_factors, is_torsion, prime_ideals_above,
-                   primes_below)
+from .ring import (PrimeIdealData, QuadraticElement, as_element, as_elements,
+                   ideal_factors, is_torsion, iter_primes, prime_ideals_above)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
 
@@ -90,28 +89,23 @@ def _archimedean_log(x: QuadraticElement) -> float:
     return float(pv.log_value())
 
 
-def _coerce_generators(a, field):
-    xs = list(a)
-    if not xs:
+def _coerce_generators(a):
+    out = as_elements(a)
+    if not out:
         raise UsageError("at least one generator is required")
-    if field is None:
-        field = next((x.field for x in xs if isinstance(x, QuadraticElement)
-                      and x.field is not None), None)
-    out = [as_element(x, field) for x in xs]
     if any(x.is_zero() for x in out):
         raise UsageError("zero is not a generator of a multiplicative group")
     return out
 
 
-def multiplicative_rank(a, field: Optional[QuadraticField] = None
-                        ) -> MultiplicativeGroupReport:
+def multiplicative_rank(a) -> MultiplicativeGroupReport:
     """Exact free rank of the group generated by a, with full bookkeeping.
 
     Kernel vectors of the valuation matrix give unit-valued products; each is
     either verified torsion or recombined (in a real field, where the unit
     rank is one) until the torsion relations span everything they can.
     """
-    gens = _coerce_generators(a, field)
+    gens = _coerce_generators(a)
     m = len(gens)
     support: dict[str, PrimeIdealData] = {}
     rows = []
@@ -165,14 +159,13 @@ def multiplicative_rank(a, field: Optional[QuadraticField] = None
     )
 
 
-def expected_count(a, Y: int, field: Optional[QuadraticField] = None) -> float:
+def expected_count(a, Y: int) -> float:
     """Sum of N(P)^(-r) over admissible primes of norm at most Y, where r is
     the free rank of the group generated by a; split primes count per ideal."""
-    return expected_counts(a, [Y], field)[0]
+    return expected_counts(a, [Y])[0]
 
 
-def expected_counts(a, Ys: Sequence[int],
-                    field: Optional[QuadraticField] = None) -> list[float]:
+def expected_counts(a, Ys: Sequence[int]) -> list[float]:
     """expected_count(a, Y) for every Y in Ys, from one prime pass.
 
     Each total adds its own terms in the order expected_count(a, Y) adds
@@ -180,13 +173,13 @@ def expected_counts(a, Ys: Sequence[int],
     """
     if not Ys:
         return []
-    gens = _coerce_generators(a, field)
+    gens = _coerce_generators(a)
     rank = multiplicative_rank(gens)
     r, degenerate = rank.free_rank, set(rank.support_primes)
     f = gens[0].field
     ys = sorted(set(Ys), reverse=True)
     totals = dict.fromkeys(ys, 0.0)
-    for p in primes_below(ys[0] + 1):
+    for p in iter_primes(2, ys[0] + 1):
         for P in prime_ideals_above(f, p):
             if P.kind == "ramified" or P.label() in degenerate:
                 continue

@@ -20,6 +20,7 @@ from .ring import (
     QuadraticElement,
     QuadraticField,
     as_element,
+    as_elements,
     euler_phi,
     field_norm,
     ideal_factors,
@@ -72,11 +73,10 @@ def _infinite_places(g: QuadraticElement, precision: int) -> list[PlaceValue]:
         return out
 
 
-def local_values(x, field: Optional[QuadraticField] = None,
-                 precision: int = DEFAULT_PRECISION) -> list[PlaceValue]:
+def local_values(x, precision: int = DEFAULT_PRECISION) -> list[PlaceValue]:
     """Finite places where the absolute value differs from 1, then all
     infinite places."""
-    g = as_element(x, field)
+    g = as_element(x)
     if g.is_zero():
         raise UsageError("zero has no place decomposition")
     out = []
@@ -86,10 +86,9 @@ def local_values(x, field: Optional[QuadraticField] = None,
     return out
 
 
-def element_height(x, field: Optional[QuadraticField] = None,
-                   precision: int = DEFAULT_PRECISION) -> float:
+def element_height(x, precision: int = DEFAULT_PRECISION) -> float:
     """Absolute logarithmic Weil height."""
-    g = as_element(x, field)
+    g = as_element(x)
     if g.is_zero():
         raise UsageError("height of zero is undefined")
     with mpmath.workprec(precision):
@@ -101,10 +100,9 @@ def element_height(x, field: Optional[QuadraticField] = None,
         return float(total / _degree(g.field))
 
 
-def archimedean_height_sum(x, field: Optional[QuadraticField] = None,
-                           precision: int = DEFAULT_PRECISION) -> float:
+def archimedean_height_sum(x, precision: int = DEFAULT_PRECISION) -> float:
     """Sum of the local contributions over the infinite places only."""
-    g = as_element(x, field)
+    g = as_element(x)
     if g.is_zero():
         raise UsageError("zero has no archimedean contribution")
     with mpmath.workprec(precision):
@@ -127,13 +125,6 @@ def log_norm(obj, precision: int = DEFAULT_PRECISION) -> float:
         return float(lv / _degree(g.field))
 
 
-def _coerce_triple(xs, field):
-    elems = [x for x in xs if isinstance(x, QuadraticElement)]
-    if field is None and elems:
-        field = elems[0].field
-    return [as_element(x, field) for x in xs]
-
-
 def _valuation_rows(xs) -> list[tuple[PrimeIdealData, list[int]]]:
     """(P, [v_P(x) for x in xs]) for every prime ideal P dividing some x,
     in order of first appearance."""
@@ -144,10 +135,9 @@ def _valuation_rows(xs) -> list[tuple[PrimeIdealData, list[int]]]:
     return list(rows.values())
 
 
-def triple_height(x1, x2, x3, field: Optional[QuadraticField] = None,
-                  precision: int = DEFAULT_PRECISION) -> float:
+def triple_height(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
     """Projective height of (x1 : x2 : x3)."""
-    xs = _coerce_triple((x1, x2, x3), field)
+    xs = as_elements((x1, x2, x3))
     nz = [g for g in xs if not g.is_zero()]
     if not nz:
         raise UsageError("the zero triple has no height")
@@ -164,11 +154,10 @@ def triple_height(x1, x2, x3, field: Optional[QuadraticField] = None,
         return float(total / deg)
 
 
-def radical(x1, x2, x3, field: Optional[QuadraticField] = None,
-            precision: int = DEFAULT_PRECISION) -> float:
+def radical(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
     """Sum of log-norms over the primes where the coordinate valuations
     do not all agree."""
-    xs = _coerce_triple((x1, x2, x3), field)
+    xs = as_elements((x1, x2, x3))
     if any(g.is_zero() for g in xs):
         raise UsageError("radical requires nonzero coordinates")
     deg = _degree(xs[0].field)
@@ -180,14 +169,13 @@ def radical(x1, x2, x3, field: Optional[QuadraticField] = None,
         return float(total / deg)
 
 
-def abc_quality(x1, x2, x3, field: Optional[QuadraticField] = None,
-                precision: int = DEFAULT_PRECISION) -> float:
+def abc_quality(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
     """Height-to-radical ratio of a zero-sum triple.
 
     A radical of zero with positive height reports math.inf instead of
     raising; callers treat that as the degenerate-quality flag.
     """
-    xs = _coerce_triple((x1, x2, x3), field)
+    xs = as_elements((x1, x2, x3))
     if any(g.is_zero() for g in xs):
         raise UsageError("quality requires nonzero coordinates")
     if not (xs[0] + xs[1] + xs[2]).is_zero():
@@ -210,9 +198,9 @@ class PhiRatio:
     target: float  # archimedean height sum of the base, the n -> inf limit
 
 
-def phi_norm_ratio(gamma, n: int, field: Optional[QuadraticField] = None,
+def phi_norm_ratio(gamma, n: int,
                    precision: int = DEFAULT_PRECISION) -> PhiRatio:
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     val = cyclotomic_value(g, n)
     if val.is_zero():
         raise UsageError("cyclotomic value vanishes: torsion base")

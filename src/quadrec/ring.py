@@ -576,10 +576,21 @@ def qelem(field: Optional[QuadraticField], a: Rational, b: Rational = 0,
 
 def as_element(v, field: Optional[QuadraticField] = None) -> QuadraticElement:
     if isinstance(v, QuadraticElement):
-        return v.with_field(field) if (field is not None and v.field is None) else v
+        return v.with_field(field) if field is not None else v
     if isinstance(v, (int, Fraction)):
         return qelem(field, v)
     raise TypeError(f"cannot coerce {type(v).__name__} to a field element")
+
+
+def as_elements(values) -> list[QuadraticElement]:
+    """Every value embedded in the one field that any of them carries;
+    plain rationals when none carries a field."""
+    xs = [as_element(v) for v in values]
+    fields = {x.field for x in xs} - {None}
+    if len(fields) > 1:
+        raise ValueError("elements from different fields")
+    field = fields.pop() if fields else None
+    return [as_element(x, field) for x in xs]
 
 
 def sqrt_element(field: QuadraticField) -> QuadraticElement:

@@ -20,6 +20,7 @@ from .ring import (as_element, ideal_factors, iter_primes, prime_ideals_above,
 from .wieferich import fermat_quotient_residue, wall_period_test, wss_divisibility_test
 
 CHECKPOINT_VERSION = 1
+FLUSH_EVERY = 20000  # primes scanned between checkpoint records
 
 
 def _dumps(obj) -> str:
@@ -100,7 +101,6 @@ def _load_last_record(path: str) -> dict:
 def search_range(pred: SearchPredicate, lo: int, hi: int,
                  checkpoint_path: Optional[str] = None, *,
                  resume: bool = False,
-                 flush_every: int = 20000,
                  stop_after: Optional[int] = None,
                  log: Optional[Callable[[str], None]] = None) -> SearchCheckpoint:
     """Scan primes in [lo, hi) with pred, checkpointing along the way.
@@ -155,7 +155,7 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
                 log(f"paused at cursor {ck.cursor} after {done} primes "
                     f"({ck.elapsed:.2f}s)")
             return ck
-        if since_flush >= flush_every:
+        if since_flush >= FLUSH_EVERY:
             flush()
             since_flush = 0
     ck.cursor = hi
@@ -181,6 +181,8 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     """
     fld = quadratic_field(field_d) if field_d is not None else None
     g = as_element(base, fld)
+    if g.is_zero():
+        raise UsageError("zero base has no Wieferich primes")
     support = {P.label() for P, _ in ideal_factors(g)}
 
     def test(p: int) -> Optional[dict]:

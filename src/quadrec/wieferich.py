@@ -8,17 +8,16 @@ independent detectors for the Fibonacci case; they must always agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
 from .periods import _is_fib_period, pisano_prime_power
 from .ring import (
     PrimeIdealData,
-    QuadraticField,
     as_element,
     is_torsion,
+    iter_primes,
     prime_ideals_above,
-    primes_below,
     quad_valuation,
     reduce,
     residue_pow,
@@ -112,21 +111,20 @@ def wss_divisibility_test(p: int) -> bool:
     return R[0][1] % m == 0  # F_n mod p^2
 
 
-def count_non_wieferich(gamma, bound: int,
-                        field: Optional[QuadraticField] = None) -> int:
+def count_non_wieferich(gamma, bound: int) -> int:
     """|{prime ideals P, N(P) <= bound, gamma not Wieferich at P}|.
 
     Degenerate primes count: the congruence gamma^(N-1) = 1 mod P^2 fails
     outright when gamma is not a P-unit.  Ramified primes carry no verdict
     and are skipped entirely.
     """
-    g = as_element(gamma, field)
+    g = as_element(gamma)
     if is_torsion(g):
         raise UsageError("torsion bases make every prime Wieferich; not counted")
     if bound < 2:
         return 0
     n = 0
-    for p in primes_below(int(bound) + 1):
+    for p in iter_primes(2, int(bound) + 1):
         for P in prime_ideals_above(g.field, p):
             if P.kind == "ramified" or P.norm > bound:
                 continue

@@ -239,7 +239,7 @@ def test_certified_count_detects_duplicate_primes(monkeypatch):
 
     P7 = prime_ideals_above(None, 7)[0]
 
-    def forged(gamma, n, field=None):
+    def forged(gamma, n):
         return [NonWieferichCertificate(7, P7, n, n, 1)]
 
     monkeypatch.setattr(mod, "certificate_for_n", forged)

@@ -128,12 +128,28 @@ def test_parse_args_rejects():
     ["certify", "--base", "2", "--bound", "1000", "--base", "2"],
     ["abc-quality", "--base", "2", "--base", "3"],
     ["phi-ratio", "--base", "2", "--base", "(1+sqrt(5))/2"],
+    ["search-wieferich", "--base", "2", "--field-d", "5", "--field-d", "2",
+     "--to", "20000"],
+    ["rank", "--gen", "2", "--field-d", "5", "--field-d", "2"],
 ])
 def test_repeated_base_exits_2(capsys, argv):
-    # the parent kept the last --base and printed its results with exit 0
+    # argparse alone keeps the last value and prints its results with exit 0
+    flag = next(a for a in argv if a.startswith("--") and argv.count(a) > 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert "--base given more than once" in err
+    assert f"{flag} given more than once" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--gen", "1+sqrt(2)", "--gen", "sqrt(5)"],
+    ["heuristic", "--gen", "1+sqrt(2)", "--gen", "sqrt(5)", "--bound", "100"],
+    ["period", "--tuple", "1+sqrt(2),sqrt(5);1,1", "--mod", "7"],
+])
+def test_literals_from_two_fields_exit_2(capsys, argv):
+    # rank and heuristic used to print numbers that mixed the two fields
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "elements from different fields" in err
 
 
 def test_precision_env(monkeypatch):
@@ -242,7 +258,7 @@ def test_certify_prime_certified_twice_exits_1(monkeypatch, capsys):
 
     P7 = prime_ideals_above(None, 7)[0]
 
-    def forged(gamma, n, field=None):
+    def forged(gamma, n):
         return [NonWieferichCertificate(7, P7, n, n, 1)]
 
     monkeypatch.setattr(mod, "certificate_for_n", forged)
@@ -259,6 +275,13 @@ def test_search_wieferich_known_hits(capsys):
         assert_stringly(doc)
     assert [h["p"] for h in lines[:-1]] == ["1093", "3511"]
     assert lines[-1]["primes_scanned"] == "1229"
+
+
+def test_search_wieferich_zero_base_exits_2(capsys):
+    code, out, err = run_cli(capsys, "search-wieferich", "--base", "0",
+                             "--to", "100")
+    assert (code, out) == (2, "")
+    assert "error: zero base" in err
 
 
 def test_search_output_deterministic(capsys):

@@ -20,7 +20,7 @@ from quadrec.periods import (RecurrenceTuple, fibonacci_tuple, is_degenerate,
                              standard_battery)
 from quadrec.ring import (as_element, field_norm, ideal_factors, is_prime,
                           is_torsion, prime_ideals_above, qelem,
-                          quadratic_field)
+                          quadratic_field, sqrt_element)
 
 K5 = quadratic_field(5)
 PHI = qelem(K5, 0, 1)
@@ -88,6 +88,15 @@ def test_rank_rejects_bad_input():
         multiplicative_rank([])
     with pytest.raises(UsageError):
         multiplicative_rank([2, 0])
+
+
+def test_rank_rejects_generators_from_two_fields():
+    # the first field used to win: these gave free rank 3 and a finite sum
+    mixed = [qelem(quadratic_field(2), 1, 1), 3, sqrt_element(K5)]
+    with pytest.raises(ValueError, match="elements from different fields"):
+        multiplicative_rank(mixed)
+    with pytest.raises(ValueError, match="elements from different fields"):
+        expected_count(mixed, 100)
 
 
 @given(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9,

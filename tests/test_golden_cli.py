@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of twenty-six fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of twenty-nine fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -28,11 +28,16 @@ COMMANDS = {
     "search-wieferich-base-1-plus-2-sqrt-2-csv": ["search-wieferich", "--base",
                                                   "1+2*sqrt(2)", "--to", "20000",
                                                   "--emit", "csv"],
+    # a rational base put in Q(sqrt(5)): 1093 stays inert, 3511 splits
+    "search-wieferich-base-2-field-5": ["search-wieferich", "--base", "2",
+                                        "--field-d", "5", "--to", "20000"],
     "search-wss": ["search-wss", "--to", "20000"],
     "search-wss-csv": ["search-wss", "--to", "20000", "--emit", "csv"],
     "certify-base-2": ["certify", "--base", "2", "--bound", "1000000000000"],
     "certify-base-2-csv": ["certify", "--base", "2", "--bound", "1000000000000",
                            "--emit", "csv"],
+    "certify-base-2-field-5": ["certify", "--base", "2", "--field-d", "5",
+                               "--bound", "1000000"],
     "certify-base-1-plus-sqrt-2": ["certify", "--base", "1+sqrt(2)",
                                    "--bound", "100000000"],
     "certify-base-1-plus-sqrt-2-csv": ["certify", "--base", "1+sqrt(2)",
@@ -66,6 +71,8 @@ COMMANDS = {
                           "--bound", "1000"],
     "heuristic-2-3-json": ["heuristic", "--gen", "2", "--gen", "3",
                            "--bound", "1000", "--emit", "json"],
+    "heuristic-2-3-field-5": ["heuristic", "--gen", "2", "--gen", "3",
+                              "--field-d", "5", "--bound", "10000"],
     "heuristic-1-plus-2-sqrt-2-3": ["heuristic", "--gen", "1+2*sqrt(2)",
                                     "--gen", "3", "--bound", "100000"],
 }

@@ -119,6 +119,18 @@ def test_triple_height_projective_invariance():
     assert abs(scaled - base) < 1e-10
 
 
+def test_triples_from_two_fields_are_refused():
+    # phi and 1+sqrt(2) once shared one valuation table: 0.4407 and 0.6931
+    with pytest.raises(ValueError, match="elements from different fields"):
+        triple_height(PHI, qelem(K2, 1, 1), 1)
+    with pytest.raises(ValueError, match="elements from different fields"):
+        radical(PHI, qelem(K2, 1, 1), 2)
+    # a leading plain rational joins the field of the others; it used to
+    # drop them to degree 1 and read 1.9248 and 2.8904 here
+    assert triple_height(as_element(1), PHI ** 4, 1) == triple_height(1, PHI ** 4, 1)
+    assert radical(as_element(2), PHI ** 4 + 1, 1) == radical(2, PHI ** 4 + 1, 1)
+
+
 def test_radical_examples():
     assert abs(radical(32, 1, 31) - math.log(2) - math.log(31)) < TOL
     assert abs(radical(4, 9, -13) - math.log(2 * 3 * 13)) < TOL

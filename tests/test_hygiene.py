@@ -7,6 +7,8 @@ brute-force oracle must stay apart, so no formula-side function may name the
 oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
 name nothing from periods.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
+An element carries its field, so outside ring.py no function takes a field
+as a defaulted `field` parameter.
 """
 import ast
 import pathlib
@@ -83,6 +85,23 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
 
+def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(arg.arg == "field" for arg in defaulted):
+                found.append(f"{path.name}:{node.name}")
+    assert found == [], f"field option outside ring.py: {found}"
+
+
 def _definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and every non-dunder method."""
     out = []
@@ -145,6 +164,15 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "{'pisano': ['period_bruteforce'], "
             "'wss_divisibility_test': ['pisano_prime_power']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
+    (tmp_path / "ring.py").write_text(
+        "def as_element(v, field=None):\n    return v\n", encoding="utf-8")
+    (tmp_path / "heights.py").write_text(
+        "def radical(x, field=None):\n    return x\n"
+        "def height(x, *, field=None):\n    return x\n"
+        "def degree(field):\n    return 2\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "['heights.py:radical', 'heights.py:height']")):
+        test_only_ring_takes_a_field_option(tmp_path)
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code
     (tmp_path / "src" / "quadrec").mkdir(parents=True)

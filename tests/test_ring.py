@@ -12,6 +12,7 @@ from quadrec.ring import (
     QuadraticElement,
     _lift_root,
     as_element,
+    as_elements,
     factorize,
     field_norm,
     is_prime,
@@ -72,6 +73,19 @@ def test_inverse_roundtrip():
     assert (x * x.inverse()).as_fraction() == 1
     y = as_element(Fraction(-6, 35), K5)
     assert (y * y.inverse()).as_fraction() == 1
+
+
+def test_as_elements_embeds_in_the_one_field_any_value_carries():
+    K2 = quadratic_field(2)
+    xs = as_elements([2, PHI, Fraction(1, 3)])
+    assert xs == [as_element(2, K5), PHI, as_element(Fraction(1, 3), K5)]
+    assert [x.field for x in as_elements([2, as_element(3)])] == [None, None]
+    assert as_elements([]) == []
+    # a rational put in a field carries that field
+    with pytest.raises(ValueError, match="elements from different fields"):
+        as_elements([as_element(2, K5), 1, sqrt_element(K2)])
+    with pytest.raises(ValueError, match="different field"):
+        as_element(PHI, K2)  # used to return PHI, still in Q(sqrt(5))
 
 
 def test_pow_matches_repeated_product():
