@@ -22,15 +22,12 @@ from typing import Optional
 from .certificates import certified_count
 from .dynamics import expected_counts, multiplicative_rank
 from .errors import DegenerateInputError, QuadrecError, UsageError
-from .heights import (DEFAULT_PRECISION, _quality, phi_norm_ratio, radical,
-                      triple_height)
+from .heights import _quality, phi_norm_ratio, radical, triple_height
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
 from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
                    sqrt_element)
 from .search import _dumps, search_range, wall_predicate, wieferich_predicate
-
-PRECISION_ENV = "QUADREC_PRECISION"
 
 # ---------------------------------------------------------------------------
 # quadratic literals: "a", "a/b", "sqrt(d)", "b*sqrt(d)", "(a+b*sqrt(d))/c"
@@ -129,7 +126,6 @@ class RunConfig:
     resume: bool = False
     emit: str = "json"
     workers: int = 1
-    precision: int = DEFAULT_PRECISION
 
     def config_hash(self) -> str:
         blob = _dumps(asdict(self))
@@ -260,14 +256,6 @@ def parse_args(argv) -> RunConfig:
         raise UsageError("--workers must be >= 1")
     if fields.get("modulus") is not None and fields["modulus"] < 1:
         raise UsageError("--mod must be >= 1")
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is not None:
-        try:
-            fields["precision"] = int(raw)
-        except ValueError:
-            raise UsageError(f"{PRECISION_ENV} must be an integer, got {raw!r}")
-        if fields["precision"] < 24:
-            raise UsageError(f"{PRECISION_ENV} must be at least 24 bits")
     if getattr(ns, "base", None) is not None:
         fields["base"] = format_quadratic(
             parse_quadratic(ns.base, fields.get("field_d")))
@@ -381,10 +369,14 @@ def _cmd_search(cfg: RunConfig, out) -> None:
         shards = [(cfg.subcommand, cfg.base, cfg.field_d, a, min(cfg.hi, a + chunk))
                   for a in range(cfg.lo, cfg.hi, chunk)]
         hits, scanned = [], 0
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for shard_hits, shard_scanned in pool.map(_scan_shard, shards):
-                hits.extend(shard_hits)  # shards are ordered, hits stay sorted
-                scanned += shard_scanned
+        # with fork the pool starts every worker up front, so ask for no
+        # more processes than there are shards or CPUs
+        workers = min(cfg.workers, len(shards), os.cpu_count() or 1)
+        if workers:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for shard_hits, shard_scanned in pool.map(_scan_shard, shards):
+                    hits.extend(shard_hits)  # ordered shards keep hits sorted
+                    scanned += shard_scanned
     header = _HIT_FIELDS[cfg.subcommand]
     _emit(cfg, header, [[h[k] for k in header] for h in hits], out,
           json_tail={"range": [cfg.lo, cfg.hi], "hits": len(hits),
@@ -416,8 +408,8 @@ def _cmd_abc_quality(cfg: RunConfig, out) -> None:
         if n < cfg.n_from:
             continue
         triple = (power, as_element(-1, g.field), one - power)
-        h = triple_height(*triple, precision=cfg.precision)
-        r = radical(*triple, precision=cfg.precision)
+        h = triple_height(*triple)
+        r = radical(*triple)
         rows.append((n, h, r, _quality(h, r)))
     _emit(cfg, ["n", "h", "rad", "q"], rows, out)
 
@@ -426,7 +418,7 @@ def _cmd_phi_ratio(cfg: RunConfig, out) -> None:
     g = parse_quadratic(cfg.base, cfg.field_d)
     rows = []
     for n in range(cfg.n_from, cfg.n_to + 1):
-        pr = phi_norm_ratio(g, n, precision=cfg.precision)
+        pr = phi_norm_ratio(g, n)
         rows.append((n, pr.ratio, pr.target))
     _emit(cfg, ["n", "ratio", "target"], rows, out)
 

@@ -14,12 +14,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantBreachError, ResourceLimitError, UsageError
-from .heights import local_values
+from .heights import _infinite_places, _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, initial_terms,
                       period_formula)
-from .ring import (PrimeIdealData, QuadraticElement, as_element, as_elements,
-                   ideal_factors, is_torsion, iter_primes, prime_ideals_above)
+from .ring import (QuadraticElement, as_element, as_elements, is_torsion,
+                   iter_primes, prime_ideals_above)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
 
@@ -85,8 +85,7 @@ def _clamped_product(gens: Sequence[QuadraticElement],
 def _archimedean_log(x: QuadraticElement) -> float:
     """log of the first infinite place value; nonzero iff a unit is
     non-torsion (degree <= 2)."""
-    pv = next(p for p in local_values(x) if p.kind == "infinite")
-    return float(pv.log_value())
+    return float(_infinite_places(x)[0].log_value())
 
 
 def _coerce_generators(a):
@@ -107,16 +106,10 @@ def multiplicative_rank(a) -> MultiplicativeGroupReport:
     """
     gens = _coerce_generators(a)
     m = len(gens)
-    support: dict[str, PrimeIdealData] = {}
-    rows = []
-    for g in gens:
-        facs = ideal_factors(g)
-        rows.append({P.label(): v for P, v in facs})
-        for P, _ in facs:
-            support.setdefault(P.label(), P)
-    labels = sorted(support, key=lambda s: (support[s].p, s))
-    matrix = tuple(tuple(row.get(lbl, 0) for lbl in labels) for row in rows)
-    columns = [[matrix[i][j] for i in range(m)] for j in range(len(labels))]
+    support = sorted(_valuation_rows(gens), key=lambda r: (r[0].p, r[0].label()))
+    labels = [P.label() for P, _ in support]
+    columns = [vrow for _, vrow in support]
+    matrix = tuple(zip(*columns)) if columns else ((),) * m
     basis = _nullspace(columns, m)
 
     torsion, nontorsion = [], []

@@ -1,8 +1,8 @@
 """Places, absolute values, Weil heights, radicals, and quality statistics.
 
-Every real-valued computation runs under a fixed high-precision mantissa
-(128 bits by default) and is rounded to float only at the boundary.  Finite
-absolute values are kept exact as Fractions for as long as possible.
+Every real-valued computation runs under a fixed 128-bit mantissa and is
+rounded to float only at the boundary.  Finite absolute values are kept
+exact as Fractions for as long as possible.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .ring import (
     ideal_factors,
 )
 
-DEFAULT_PRECISION = 128  # mantissa bits
+PRECISION = 128  # mantissa bits
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,8 @@ class PlaceValue:
     embedding: int = 0
     weight: int = 1
 
-    def log_value(self, precision: int = DEFAULT_PRECISION):
-        with mpmath.workprec(precision):
+    def log_value(self):
+        with mpmath.workprec(PRECISION):
             if isinstance(self.value, Fraction):
                 return mpmath.log(self.value.numerator) - mpmath.log(
                     self.value.denominator)
@@ -56,8 +56,8 @@ def _degree(field: Optional[QuadraticField]) -> int:
     return 1 if field is None else 2
 
 
-def _infinite_places(g: QuadraticElement, precision: int) -> list[PlaceValue]:
-    with mpmath.workprec(precision):
+def _infinite_places(g: QuadraticElement) -> list[PlaceValue]:
+    with mpmath.workprec(PRECISION):
         if g.field is None:
             return [PlaceValue("infinite", abs(Fraction(g.num_a, g.den)))]
         f = g.field
@@ -73,7 +73,7 @@ def _infinite_places(g: QuadraticElement, precision: int) -> list[PlaceValue]:
         return out
 
 
-def local_values(x, precision: int = DEFAULT_PRECISION) -> list[PlaceValue]:
+def local_values(x) -> list[PlaceValue]:
     """Finite places where the absolute value differs from 1, then all
     infinite places."""
     g = as_element(x)
@@ -82,39 +82,39 @@ def local_values(x, precision: int = DEFAULT_PRECISION) -> list[PlaceValue]:
     out = []
     for P, v in ideal_factors(g):
         out.append(PlaceValue("finite", Fraction(P.norm) ** (-v), ideal=P))
-    out.extend(_infinite_places(g, precision))
+    out.extend(_infinite_places(g))
     return out
 
 
-def element_height(x, precision: int = DEFAULT_PRECISION) -> float:
+def element_height(x) -> float:
     """Absolute logarithmic Weil height."""
     g = as_element(x)
     if g.is_zero():
         raise UsageError("height of zero is undefined")
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         total = mpmath.mpf(0)
-        for pv in local_values(g, precision=precision):
-            lv = pv.log_value(precision)
+        for pv in local_values(g):
+            lv = pv.log_value()
             if lv > 0:
                 total += lv
         return float(total / _degree(g.field))
 
 
-def archimedean_height_sum(x, precision: int = DEFAULT_PRECISION) -> float:
+def archimedean_height_sum(x) -> float:
     """Sum of the local contributions over the infinite places only."""
     g = as_element(x)
     if g.is_zero():
         raise UsageError("zero has no archimedean contribution")
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         total = mpmath.mpf(0)
-        for pv in _infinite_places(g, precision):
-            total += max(pv.log_value(precision), mpmath.mpf(0))
+        for pv in _infinite_places(g):
+            total += max(pv.log_value(), mpmath.mpf(0))
         return float(total / _degree(g.field))
 
 
-def log_norm(obj, precision: int = DEFAULT_PRECISION) -> float:
+def log_norm(obj) -> float:
     """log|N(.)| / [K:Q] of a prime ideal or a nonzero element."""
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         if isinstance(obj, PrimeIdealData):
             return float(mpmath.log(obj.norm) / _degree(obj.field))
         g = obj if isinstance(obj, QuadraticElement) else as_element(obj)
@@ -135,33 +135,33 @@ def _valuation_rows(xs) -> list[tuple[PrimeIdealData, list[int]]]:
     return list(rows.values())
 
 
-def triple_height(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
+def triple_height(x1, x2, x3) -> float:
     """Projective height of (x1 : x2 : x3)."""
     xs = as_elements((x1, x2, x3))
     nz = [g for g in xs if not g.is_zero()]
     if not nz:
         raise UsageError("the zero triple has no height")
     deg = _degree(nz[0].field)
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         total = mpmath.mpf(0)
         for P, vrow in _valuation_rows(nz):
             m = min(vrow)
             if m:
                 total -= m * mpmath.log(P.norm)
-        per_place = zip(*(_infinite_places(g, precision) for g in nz))
+        per_place = zip(*(_infinite_places(g) for g in nz))
         for column in per_place:
-            total += max(pv.log_value(precision) for pv in column)
+            total += max(pv.log_value() for pv in column)
         return float(total / deg)
 
 
-def radical(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
+def radical(x1, x2, x3) -> float:
     """Sum of log-norms over the primes where the coordinate valuations
     do not all agree."""
     xs = as_elements((x1, x2, x3))
     if any(g.is_zero() for g in xs):
         raise UsageError("radical requires nonzero coordinates")
     deg = _degree(xs[0].field)
-    with mpmath.workprec(precision):
+    with mpmath.workprec(PRECISION):
         total = mpmath.mpf(0)
         for P, vrow in _valuation_rows(xs):
             if len(set(vrow)) > 1:
@@ -169,7 +169,7 @@ def radical(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
         return float(total / deg)
 
 
-def abc_quality(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
+def abc_quality(x1, x2, x3) -> float:
     """Height-to-radical ratio of a zero-sum triple.
 
     A radical of zero with positive height reports math.inf instead of
@@ -180,8 +180,7 @@ def abc_quality(x1, x2, x3, precision: int = DEFAULT_PRECISION) -> float:
         raise UsageError("quality requires nonzero coordinates")
     if not (xs[0] + xs[1] + xs[2]).is_zero():
         raise UsageError("quality is defined for zero-sum triples only")
-    return _quality(triple_height(*xs, precision=precision),
-                    radical(*xs, precision=precision))
+    return _quality(triple_height(*xs), radical(*xs))
 
 
 def _quality(h: float, r: float) -> float:
@@ -198,14 +197,13 @@ class PhiRatio:
     target: float  # archimedean height sum of the base, the n -> inf limit
 
 
-def phi_norm_ratio(gamma, n: int,
-                   precision: int = DEFAULT_PRECISION) -> PhiRatio:
+def phi_norm_ratio(gamma, n: int) -> PhiRatio:
     g = as_element(gamma)
     val = cyclotomic_value(g, n)
     if val.is_zero():
         raise UsageError("cyclotomic value vanishes: torsion base")
-    ratio = log_norm(val, precision) / euler_phi(n)
-    return PhiRatio(n, ratio, archimedean_height_sum(g, precision=precision))
+    ratio = log_norm(val) / euler_phi(n)
+    return PhiRatio(n, ratio, archimedean_height_sum(g))
 
 
 def totient_density(Y: int, delta: float) -> tuple[int, float]:

@@ -20,6 +20,7 @@ from .ring import (
     QuadraticField,
     ResidueElement,
     as_element,
+    as_elements,
     factorize,
     kronecker,
     prime_ideals_above,
@@ -45,6 +46,10 @@ class RecurrenceTuple:
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
             raise UsageError("need equally many generators and weights, at least one")
+        try:
+            as_elements(self.a + self.b)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if any(x.is_zero() for x in self.a) or any(x.is_zero() for x in self.b):
             raise UsageError("zero entries are not allowed in a recurrence tuple")
         if len({(x.field, x.num_a, x.num_b, x.den) for x in self.a}) != len(self.a):
@@ -84,12 +89,11 @@ def lucas_tuple() -> RecurrenceTuple:
     return RecurrenceTuple((qelem(K, 0, 1), qelem(K, 1, -1)), (one, one), "lucas")
 
 
-def rational_tuple(roots: Sequence[int], weights: Sequence[int],
-                   name: str = "") -> RecurrenceTuple:
+def rational_tuple(roots: Sequence[int], weights: Sequence[int]) -> RecurrenceTuple:
     return RecurrenceTuple(
         tuple(as_element(Fraction(r)) for r in roots),
         tuple(as_element(Fraction(w)) for w in weights),
-        name or f"({','.join(map(str, roots))};{','.join(map(str, weights))})",
+        f"({','.join(map(str, roots))};{','.join(map(str, weights))})",
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,7 +48,6 @@ class SearchCheckpoint:
     hits: list
     primes_scanned: int
     config_hash: str
-    elapsed: float = 0.0  # informational only, never serialized
 
     def record(self) -> dict:
         return {
@@ -101,8 +99,7 @@ def _load_last_record(path: str) -> dict:
 def search_range(pred: SearchPredicate, lo: int, hi: int,
                  checkpoint_path: Optional[str] = None, *,
                  resume: bool = False,
-                 stop_after: Optional[int] = None,
-                 log: Optional[Callable[[str], None]] = None) -> SearchCheckpoint:
+                 stop_after: Optional[int] = None) -> SearchCheckpoint:
     """Scan primes in [lo, hi) with pred, checkpointing along the way.
 
     stop_after caps how many primes this call processes (the checkpoint is
@@ -135,35 +132,24 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
             with open(checkpoint_path, "a", encoding="utf-8") as fh:
                 fh.write(ck.line() + "\n")
 
-    t0 = time.perf_counter()
     done = 0
     since_flush = 0
     for p in iter_primes(ck.cursor, hi):
         hit = pred.test(p)
         if hit is not None:
             ck.hits.append(hit)
-            if log:
-                log(f"hit at p={p}: {_dumps(hit)}")
         ck.cursor = p + 1
         ck.primes_scanned += 1
         done += 1
         since_flush += 1
         if stop_after is not None and done >= stop_after:
-            ck.elapsed = time.perf_counter() - t0
             flush()
-            if log:
-                log(f"paused at cursor {ck.cursor} after {done} primes "
-                    f"({ck.elapsed:.2f}s)")
             return ck
         if since_flush >= FLUSH_EVERY:
             flush()
             since_flush = 0
     ck.cursor = hi
-    ck.elapsed = time.perf_counter() - t0
     flush()
-    if log:
-        log(f"scan [{lo},{hi}) complete: {ck.primes_scanned} primes, "
-            f"{len(ck.hits)} hits, {ck.elapsed:.2f}s")
     return ck
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrec import cli
 from quadrec.cli import (RunConfig, format_quadratic, main, parse_args,
                          parse_quadratic)
 from quadrec.certificates import NonWieferichCertificate, certified_count
@@ -99,12 +100,12 @@ def test_config_canonicalization_and_hash():
     assert c1 == c2
     assert c1.base == "(1+2*sqrt(5))/3"
     # frozen: the hash is a platform-independent function of the config
-    assert c1.config_hash() == "665469ce1866b317"
+    assert c1.config_hash() == "94890a9e908b5fd1"
 
 
 def test_config_defaults():
     c = parse_args(["search-wss", "--to", "50"])
-    assert (c.lo, c.workers, c.emit, c.precision) == (2, 1, "json", 128)
+    assert (c.lo, c.workers, c.emit) == (2, 1, "json")
     assert c.checkpoint is None and not c.resume
 
 
@@ -150,17 +151,6 @@ def test_literals_from_two_fields_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "elements from different fields" in err
-
-
-def test_precision_env(monkeypatch):
-    monkeypatch.setenv("QUADREC_PRECISION", "64")
-    assert parse_args(["phi-ratio", "--base", "2"]).precision == 64
-    monkeypatch.setenv("QUADREC_PRECISION", "zap")
-    with pytest.raises(UsageError):
-        parse_args(["phi-ratio", "--base", "2"])
-    monkeypatch.setenv("QUADREC_PRECISION", "8")
-    with pytest.raises(UsageError):
-        parse_args(["phi-ratio", "--base", "2"])
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +295,44 @@ def test_search_workers_with_checkpoint_rejected(capsys, tmp_path):
                            "--workers", "2",
                            "--checkpoint", str(tmp_path / "ck.jsonl"))
     assert code == 2 and "workers" in err
+
+
+@pytest.mark.parametrize("workers, cpus, pool_size", [
+    (100000, 4, 4),    # one process per CPU, not per requested worker
+    (3, 4, 3),
+    (2, None, 1),      # an unknown CPU count means one process
+])
+def test_search_pool_is_capped(capsys, monkeypatch, workers, cpus, pool_size):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and runs the shards in this process."""
+
+        def __init__(self, max_workers):
+            if max_workers < 1:
+                raise ValueError("max_workers must be greater than 0")
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    _, serial, _ = run_cli(capsys, "search-wss", "--to", "2000")
+    code, sharded, _ = run_cli(capsys, "search-wss", "--to", "2000",
+                               "--workers", str(workers))
+    assert (code, sharded, sizes) == (0, serial, [pool_size])
+    # an empty range has no shards and starts no pool
+    code, out, _ = run_cli(capsys, "search-wss", "--from", "10", "--to", "10",
+                           "--workers", "2")
+    assert (code, sizes) == (0, [pool_size])
+    assert json.loads(out)["primes_scanned"] == "0"
 
 
 def test_search_checkpoint_resume(capsys, tmp_path):

@@ -8,7 +8,8 @@ oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
 name nothing from periods.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
 An element carries its field, so outside ring.py no function takes a field
-as a defaulted `field` parameter.
+as a defaulted `field` parameter, and heights run at one fixed precision, so
+no function takes a `precision` option at all.
 """
 import ast
 import pathlib
@@ -85,11 +86,13 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
 
+# option name -> the modules whose functions may still take it with a default
+BANNED_OPTIONS = {"field": {"ring.py"}, "precision": set()}
+
+
 def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
     found = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "ring.py":
-            continue
         for node in ast.walk(_tree(path)):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -97,9 +100,10 @@ def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
             positional = a.posonlyargs + a.args
             defaulted = positional[len(positional) - len(a.defaults):] + [
                 arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-            if any(arg.arg == "field" for arg in defaulted):
-                found.append(f"{path.name}:{node.name}")
-    assert found == [], f"field option outside ring.py: {found}"
+            found += [f"{path.name}:{node.name}:{arg.arg}" for arg in defaulted
+                      if arg.arg in BANNED_OPTIONS
+                      and path.name not in BANNED_OPTIONS[arg.arg]]
+    assert found == [], f"banned options: {found}"
 
 
 def _definitions(tree: ast.Module) -> list[str]:
@@ -165,13 +169,15 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "'wss_divisibility_test': ['pisano_prime_power']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
     (tmp_path / "ring.py").write_text(
-        "def as_element(v, field=None):\n    return v\n", encoding="utf-8")
+        "def as_element(v, field=None):\n    return v\n"
+        "def log_norm(x, precision=128):\n    return x\n", encoding="utf-8")
     (tmp_path / "heights.py").write_text(
         "def radical(x, field=None):\n    return x\n"
-        "def height(x, *, field=None):\n    return x\n"
+        "def height(x, *, field=None, precision=128):\n    return x\n"
         "def degree(field):\n    return 2\n", encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
-            "['heights.py:radical', 'heights.py:height']")):
+            "['heights.py:radical:field', 'heights.py:height:field', "
+            "'heights.py:height:precision', 'ring.py:log_norm:precision']")):
         test_only_ring_takes_a_field_option(tmp_path)
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code

@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 import oracles
 import quadrec.periods
 from quadrec.errors import (DegenerateInputError, InvariantBreachError,
-                            ResourceLimitError)
+                            ResourceLimitError, UsageError)
 from quadrec.periods import (
     PeriodReport,
     RecurrenceTuple,
@@ -85,6 +85,19 @@ def test_tuple_rejects_repeats_and_zeros():
         rational_tuple((2, 2), (1, 1))
     with pytest.raises(Exception):
         rational_tuple((2, 3), (1, 0))
+
+
+@pytest.mark.parametrize("route", [
+    lambda t: period_formula(t, ideal_factorization(t.field(), 7)),
+    lambda t: period_bruteforce(t, 7),
+], ids=["formula", "bruteforce"])
+def test_tuple_rejects_two_fields(route):
+    K2 = quadratic_field(2)
+    phi, one = qelem(K5, 0, 1), as_element(1)
+    for a, b in (((phi, qelem(K2, 0, 1)), (one, one)),
+                 ((phi, as_element(2)), (one, qelem(K2, 1, 1)))):
+        with pytest.raises(UsageError, match="elements from different fields"):
+            route(RecurrenceTuple(a, b))
 
 
 # ---------------------------------------------------------------------------
