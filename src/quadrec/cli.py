@@ -27,7 +27,8 @@ from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
 from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
                    sqrt_element)
-from .search import _dumps, search_range, wall_predicate, wieferich_predicate
+from .search import (_dumps, check_range, search_range, wall_predicate,
+                     wieferich_predicate)
 
 # ---------------------------------------------------------------------------
 # quadratic literals: "a", "a/b", "sqrt(d)", "b*sqrt(d)", "(a+b*sqrt(d))/c"
@@ -207,14 +208,6 @@ def _build_parser() -> _Parser:
 _PRESETS = {"fibonacci": fibonacci_tuple, "lucas": lucas_tuple}
 
 
-def _one_field(xs) -> list[QuadraticElement]:
-    """as_elements, reporting literals from two fields as a usage error."""
-    try:
-        return as_elements(xs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _tuple_parts(spec: str, field_d: Optional[int]
                  ) -> tuple[list[QuadraticElement], list[QuadraticElement]]:
     """Roots and weights of a 'r1,r2;w1,w2' spec, parsed, checked and put
@@ -225,7 +218,7 @@ def _tuple_parts(spec: str, field_d: Optional[int]
                       for part in spec.split(";", 1))
     if not roots or len(roots) != len(weights):
         raise UsageError("tuple needs equally many roots and weights")
-    xs = _one_field(roots + weights)
+    xs = as_elements(roots + weights)
     return xs[:len(roots)], xs[len(roots):]
 
 
@@ -263,7 +256,7 @@ def parse_args(argv) -> RunConfig:
         fields["tuple_spec"] = _canonical_tuple_spec(
             ns.tuple_spec, fields.get("field_d"))
     if getattr(ns, "gens", None):
-        fields["gens"] = tuple(map(format_quadratic, _one_field(
+        fields["gens"] = tuple(map(format_quadratic, as_elements(
             [parse_quadratic(s, fields.get("field_d")) for s in ns.gens])))
     return RunConfig(**fields)
 
@@ -365,6 +358,7 @@ def _cmd_search(cfg: RunConfig, out) -> None:
                           cfg.lo, cfg.hi, cfg.checkpoint, resume=cfg.resume)
         hits, scanned = ck.hits, ck.primes_scanned
     else:
+        check_range(cfg.lo, cfg.hi)
         chunk = max(1, -(-(cfg.hi - cfg.lo) // cfg.workers))
         shards = [(cfg.subcommand, cfg.base, cfg.field_d, a, min(cfg.hi, a + chunk))
                   for a in range(cfg.lo, cfg.hi, chunk)]

@@ -18,8 +18,8 @@ from .heights import _infinite_places, _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, initial_terms,
                       period_formula)
-from .ring import (QuadraticElement, as_element, as_elements, is_torsion,
-                   iter_primes, prime_ideals_above)
+from .ring import (QuadraticElement, _prime_ideals_above, as_element,
+                   as_elements, is_torsion, iter_primes)
 
 EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
 
@@ -173,7 +173,7 @@ def expected_counts(a, Ys: Sequence[int]) -> list[float]:
     ys = sorted(set(Ys), reverse=True)
     totals = dict.fromkeys(ys, 0.0)
     for p in iter_primes(2, ys[0] + 1):
-        for P in prime_ideals_above(f, p):
+        for P in _prime_ideals_above(f, p):
             if P.kind == "ramified" or P.label() in degenerate:
                 continue
             term = P.norm ** (-r)

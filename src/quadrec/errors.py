@@ -14,6 +14,10 @@ class UsageError(QuadrecError):
     exit_code = 2
 
 
+class MixedFieldError(UsageError, ValueError):
+    """Elements from two different quadratic fields in one computation."""
+
+
 class DegenerateInputError(QuadrecError):
     """A prime ideal where the requested quantity is undefined: degenerate
     for the tuple, ramified where unramified is required, non-unit input."""

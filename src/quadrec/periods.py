@@ -19,11 +19,11 @@ from .ring import (
     QuadraticElement,
     QuadraticField,
     ResidueElement,
+    _prime_ideals_above,
     as_element,
     as_elements,
     factorize,
     kronecker,
-    prime_ideals_above,
     qelem,
     quad_valuation,
     quadratic_field,
@@ -46,10 +46,7 @@ class RecurrenceTuple:
     def __post_init__(self):
         if len(self.a) != len(self.b) or not self.a:
             raise UsageError("need equally many generators and weights, at least one")
-        try:
-            as_elements(self.a + self.b)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        as_elements(self.a + self.b)
         if any(x.is_zero() for x in self.a) or any(x.is_zero() for x in self.b):
             raise UsageError("zero entries are not allowed in a recurrence tuple")
         if len({(x.field, x.num_a, x.num_b, x.den) for x in self.a}) != len(self.a):
@@ -142,7 +139,7 @@ def ideal_factorization(field: Optional[QuadraticField],
     """(P, e) for every prime ideal P above each p^e exactly dividing m >= 1,
     in ascending p; both primes above a split p carry the exponent e."""
     return [(P, e) for p, e in sorted(factorize(m).items())
-            for P in prime_ideals_above(field, p)]
+            for P in _prime_ideals_above(field, p)]
 
 
 def multiplicative_order(x: ResidueElement) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .errors import (DegenerateInputError, FactorizationError,
-                     InvariantBreachError, UsageError)
+                     InvariantBreachError, MixedFieldError, UsageError)
 
 Rational = Union[int, Fraction]
 
@@ -460,7 +460,7 @@ class QuadraticElement:
     def with_field(self, field: QuadraticField) -> "QuadraticElement":
         if self.field is not None:
             if self.field != field:
-                raise ValueError("element already belongs to a different field")
+                raise MixedFieldError("element already belongs to a different field")
             return self
         return QuadraticElement._make(field, self.num_a, 0, self.den)
 
@@ -471,7 +471,7 @@ class QuadraticElement:
             return other.field
         if other.field is None or other.field == self.field:
             return self.field
-        raise ValueError("elements from different fields")
+        raise MixedFieldError("elements from different fields")
 
     def __add__(self, other) -> "QuadraticElement":
         other = as_element(other)
@@ -588,7 +588,7 @@ def as_elements(values) -> list[QuadraticElement]:
     xs = [as_element(v) for v in values]
     fields = {x.field for x in xs} - {None}
     if len(fields) > 1:
-        raise ValueError("elements from different fields")
+        raise MixedFieldError("elements from different fields")
     field = fields.pop() if fields else None
     return [as_element(x, field) for x in xs]
 
@@ -632,7 +632,7 @@ def is_torsion(x: QuadraticElement) -> bool:
 class PrimeIdealData:
     """A prime of Q (kind 'rational') or of a quadratic field, with splitting data.
 
-    Built only by prime_ideals_above.  hensel_root is the root of w's
+    Built only by _prime_ideals_above.  hensel_root is the root of w's
     minimal polynomial mod p that P carries (split/ramified): the smaller one
     for the split ideal a, the larger for b.  conjugate_flag only names the
     ideal (label b); the root already says which one P is.
@@ -680,12 +680,21 @@ def _split_roots(field: QuadraticField, p: int) -> tuple[int, int]:
 def prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeIdealData, ...]:
     """All primes above p: one for Q, two for split p, one otherwise.
 
+    p is checked to be prime; see _prime_ideals_above for the ideals.
+    """
+    if not is_prime(p):
+        raise UsageError(f"p={p} is not prime")
+    return _prime_ideals_above(field, p)
+
+
+def _prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeIdealData, ...]:
+    """prime_ideals_above for a p already known to be prime: one that the
+    sieve or factorize produced.  Nothing here checks it.
+
     This is the one constructor of PrimeIdealData.  The kind comes from the
     Kronecker symbol; split p gives the ideal a at the smaller root of w mod
     p and b at the larger, and ramified p carries its double root.
     """
-    if not is_prime(p):
-        raise UsageError(f"p={p} is not prime")
     if field is None:
         return (PrimeIdealData(None, p, "rational", 1, None),)
     k = kronecker(field.disc, p)
@@ -768,7 +777,7 @@ def ideal_factors(x: QuadraticElement,
                | set(factorize(nrm.denominator)))
     out = []
     for p in sorted(support):
-        for P in prime_ideals_above(x.field, p):
+        for P in _prime_ideals_above(x.field, p):
             v = quad_valuation(x, P)
             if v != 0:
                 out.append((P, v))

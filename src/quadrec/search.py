@@ -13,10 +13,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import CheckpointError, UsageError
-from .ring import (as_element, ideal_factors, iter_primes, prime_ideals_above,
-                   quadratic_field)
-from .wieferich import fermat_quotient_residue, wall_period_test, wss_divisibility_test
+from .errors import CheckpointError, InvariantBreachError, UsageError
+from .ring import (_prime_ideals_above, as_element, ideal_factors, is_prime,
+                   iter_primes, quadratic_field)
+from .wieferich import (fermat_quotient_residue, wall_period_test,
+                        wss_divisibility_test, wss_screen)
 
 CHECKPOINT_VERSION = 1
 FLUSH_EVERY = 20000  # primes scanned between checkpoint records
@@ -67,6 +68,12 @@ class SearchCheckpoint:
         return self.cursor >= self.hi
 
 
+def check_range(lo: int, hi: int) -> None:
+    """Refuse a backwards scan range; lo == hi is an empty scan."""
+    if lo > hi:
+        raise UsageError(f"empty-or-backwards range [{lo}, {hi})")
+
+
 def predicate_config_hash(pred: SearchPredicate, lo: int, hi: int) -> str:
     blob = {
         "schema": CHECKPOINT_VERSION,
@@ -106,8 +113,7 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
     flushed and returned incomplete; call again with resume=True).  Stored
     hits are re-verified on resume before any new work happens.
     """
-    if lo > hi:
-        raise UsageError(f"empty-or-backwards range [{lo}, {hi})")
+    check_range(lo, hi)
     h = predicate_config_hash(pred, lo, hi)
     ck = SearchCheckpoint(lo, hi, lo, [], 0, h)
     if resume:
@@ -163,7 +169,12 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     One hit record per qualifying ideal; `aggregate` is set when every
     admissible ideal above p qualifies at once.  An ideal is admissible
     when it is unramified and outside the base's support, which is
-    factored once here.
+    factored once here.  test trusts that p is prime, as the sieve
+    guarantees; verify checks it, since a stored hit comes from a file.
+
+    A rational base num/den has the one ideal p above p, so its test runs
+    on plain ints: (num/den)^(p-1) mod p^2 is 1 + k*p, and p is a hit
+    exactly when that power is 1.
     """
     fld = quadratic_field(field_d) if field_d is not None else None
     g = as_element(base, fld)
@@ -171,21 +182,35 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
         raise UsageError("zero base has no Wieferich primes")
     support = {P.label() for P, _ in ideal_factors(g)}
 
-    def test(p: int) -> Optional[dict]:
-        ideals = [P for P in prime_ideals_above(g.field, p)
-                  if P.kind != "ramified" and P.label() not in support]
-        if not ideals:
-            return None
-        ks = {P.label(): fermat_quotient_residue(g, P) for P in ideals}
-        hit_labels = sorted(lbl for lbl, k in ks.items() if k == 0)
-        if not hit_labels:
-            return None
-        return {"p": p, "ideals": hit_labels,
-                "aggregate": len(hit_labels) == len(ideals)}
+    if g.field is None:
+        num, den = g.num_a, g.den
+
+        def test(p: int) -> Optional[dict]:
+            if str(p) in support:
+                return None
+            m = p * p
+            y = pow(num * pow(den, -1, m) % m, p - 1, m)
+            if y % p != 1:
+                raise InvariantBreachError(
+                    f"base^(p-1) is not 1 mod {p}: Fermat's little theorem fails")
+            if y != 1:
+                return None
+            return {"p": p, "ideals": [str(p)], "aggregate": True}
+    else:
+        def test(p: int) -> Optional[dict]:
+            ideals = [P for P in _prime_ideals_above(g.field, p)
+                      if P.kind != "ramified" and P.label() not in support]
+            if not ideals:
+                return None
+            ks = {P.label(): fermat_quotient_residue(g, P) for P in ideals}
+            hit_labels = sorted(lbl for lbl, k in ks.items() if k == 0)
+            if not hit_labels:
+                return None
+            return {"p": p, "ideals": hit_labels,
+                    "aggregate": len(hit_labels) == len(ideals)}
 
     def verify(hit: dict) -> bool:
-        got = test(hit["p"])
-        return got == hit
+        return is_prime(hit["p"]) and test(hit["p"]) == hit
 
     return SearchPredicate(
         "alpha-wieferich", {"base": str(g), "d": field_d}, test, verify
@@ -193,15 +218,30 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
 
 
 def wall_predicate() -> SearchPredicate:
-    """Hits are primes with equal Fibonacci period mod p and mod p^2."""
+    """Hits are primes with equal Fibonacci period mod p and mod p^2.
+
+    test screens every p outside {2, 5} with wss_screen and runs Wall's
+    period test only on the primes that pass, to build the hit record.
+    The two verdicts agree by theorem, so a screened prime whose periods
+    differ is a bug.
+    """
 
     def test(p: int) -> Optional[dict]:
+        screened = p not in (2, 5)
+        if screened and not wss_screen(p):
+            return None
         v = wall_period_test(p)
         if not v.equal:
+            if screened:
+                raise InvariantBreachError(
+                    f"p={p} passes the p^2 | F_(p-(5/p)) screen, but its "
+                    f"periods mod p and p^2 differ")
             return None
         return {"p": p, "pi_p": v.pi_p, "pi_p2": v.pi_p2}
 
     def verify(hit: dict) -> bool:
+        if not is_prime(hit["p"]):  # a stored hit comes from a file
+            return False
         v = wall_period_test(hit["p"])
         ok = v.equal and v.pi_p == hit["pi_p"] and v.pi_p2 == hit["pi_p2"]
         if ok and hit["p"] not in (2, 5):

@@ -4,6 +4,9 @@ The Fermat quotient k_p is the first-order term in gamma^(N(P)-1) = 1 + k_p*p
 mod P^2; a prime is (gamma-base) Wieferich exactly when k_p = 0.  The Wall
 period test and the Fibonacci-entry divisibility test are two deliberately
 independent detectors for the Fibonacci case; they must always agree.
+wss_screen is the scan's cheap form of the same verdict: one Fibonacci
+chain on the formula side, which never replaces the two detectors when a
+hit is verified.
 """
 from __future__ import annotations
 
@@ -11,13 +14,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
-from .periods import _is_fib_period, pisano_prime_power
+from .periods import _fib_pair, _is_fib_period, pisano_prime_power
 from .ring import (
     PrimeIdealData,
+    _prime_ideals_above,
     as_element,
     is_torsion,
     iter_primes,
-    prime_ideals_above,
+    kronecker,
     quad_valuation,
     reduce,
     residue_pow,
@@ -82,6 +86,18 @@ def wall_period_test(p: int) -> WallVerdict:
     return WallVerdict(p, k1, k2, k1 == k2)
 
 
+def wss_screen(p: int) -> bool:
+    """p^2 | F_{p - (5/p)}, from one fast-doubling chain mod p^2.
+
+    For p outside {2, 5} this is Wall's verdict (McIntosh and Roettger,
+    Math. Comp. 76 (2007)): the entry point z(p^2) is z(p) or p*z(p), and
+    z(p) divides p - (5/p), which p does not divide.
+    """
+    if p in (2, 5):
+        raise UsageError("the two exceptional primes carry no verdict here")
+    return _fib_pair(p - kronecker(5, p), p * p)[0] == 0
+
+
 def _mat_mul2(A, B, m):
     (a, b), (c, d) = A
     (e, f), (g, h) = B
@@ -125,7 +141,7 @@ def count_non_wieferich(gamma, bound: int) -> int:
         return 0
     n = 0
     for p in iter_primes(2, int(bound) + 1):
-        for P in prime_ideals_above(g.field, p):
+        for P in _prime_ideals_above(g.field, p):
             if P.kind == "ramified" or P.norm > bound:
                 continue
             if quad_valuation(g, P) != 0:

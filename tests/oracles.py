@@ -72,6 +72,13 @@ def next_prime(n: int) -> int:
     return n
 
 
+def rational_wieferich_primes(a: int, b: int, bound: int) -> list[int]:
+    """Primes p < bound, prime to a and b, with (a/b)^(p-1) = 1 mod p^2,
+    tested as a^(p-1) = b^(p-1) mod p^2 with plain pow."""
+    return [p for p in primes_below(bound)
+            if a % p and b % p and pow(a, p - 1, p * p) == pow(b, p - 1, p * p)]
+
+
 def phi_brute(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 

@@ -290,6 +290,15 @@ def test_search_workers_match_serial(capsys):
     assert serial == sharded
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_backwards_range_exits_2_on_either_path(capsys, workers):
+    # the sharded path used to build no shard and print an empty result
+    code, out, err = run_cli(capsys, "search-wss", "--from", "10", "--to", "5",
+                             "--workers", workers)
+    assert (code, out) == (2, "")
+    assert "empty-or-backwards range [10, 5)" in err
+
+
 def test_search_workers_with_checkpoint_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search-wss", "--to", "100",
                            "--workers", "2",

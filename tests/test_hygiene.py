@@ -4,8 +4,9 @@ An `assert` in src/ vanishes under `python -O`, so every invariant there must
 raise instead.  An imported name that the module never uses is dead weight
 that hides the module's real dependencies.  The period formula and its
 brute-force oracle must stay apart, so no formula-side function may name the
-oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
-name nothing from periods.  Every function, class and method in src/ must be
+oracle's state loops or embeddings, the second Wall-Sun-Sun detector may
+name nothing from periods, and the scan's Wall-Sun-Sun screen, which sits on
+the formula side, may name neither the oracle nor that detector.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
 An element carries its field, so outside ring.py no function takes a field
 as a defaulted `field` parameter, and heights run at one fixed precision, so
@@ -59,6 +60,7 @@ FORMULA_ROUTE = ("period_formula", "multiplicative_order", "pisano_prime_power",
 ORACLE = {"period_bruteforce", "_state_period", "_int_state_period",
           "_pair_state_period", "_pair_embedding", "_to_pair"}
 WSS_DETECTOR = ("wss_divisibility_test", "_mat_mul2")
+WSS_SCREEN = ("wss_screen",)
 
 
 def _mentions(tree: ast.Module, funcs) -> dict[str, set[str]]:
@@ -82,6 +84,8 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
              for f, names in _mentions(periods, FORMULA_ROUTE).items()}
     leaks.update({f: sorted(names & from_periods)
                   for f, names in _mentions(wieferich, WSS_DETECTOR).items()})
+    leaks.update({f: sorted(names & (ORACLE | set(WSS_DETECTOR)))
+                  for f, names in _mentions(wieferich, WSS_SCREEN).items()})
     leaks = {f: names for f, names in leaks.items() if names}
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
@@ -162,11 +166,13 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     (tmp_path / "wieferich.py").write_text(
         "from .periods import pisano_prime_power\n"
         "def _mat_mul2(A, B, m):\n    return A\n"
-        "def wss_divisibility_test(p):\n    return pisano_prime_power(p, 1)\n",
+        "def wss_divisibility_test(p):\n    return pisano_prime_power(p, 1)\n"
+        "def wss_screen(p):\n    return wss_divisibility_test(p)\n",
         encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
             "{'pisano': ['period_bruteforce'], "
-            "'wss_divisibility_test': ['pisano_prime_power']}")):
+            "'wss_divisibility_test': ['pisano_prime_power'], "
+            "'wss_screen': ['wss_divisibility_test']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
     (tmp_path / "ring.py").write_text(
         "def as_element(v, field=None):\n    return v\n"

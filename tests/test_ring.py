@@ -5,12 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from quadrec import ring
 from quadrec.errors import (DegenerateInputError, FactorizationError,
-                            InvariantBreachError, UsageError)
+                            InvariantBreachError, MixedFieldError,
+                            QuadrecError, UsageError)
 from quadrec.ring import (
     PrimeIdealData,
     QuadraticElement,
     _lift_root,
+    _prime_ideals_above,
     as_element,
     as_elements,
     factorize,
@@ -86,6 +89,27 @@ def test_as_elements_embeds_in_the_one_field_any_value_carries():
         as_elements([as_element(2, K5), 1, sqrt_element(K2)])
     with pytest.raises(ValueError, match="different field"):
         as_element(PHI, K2)  # used to return PHI, still in Q(sqrt(5))
+
+
+def test_mixed_fields_raise_one_typed_error():
+    from quadrec.dynamics import multiplicative_rank
+    from quadrec.heights import triple_height
+    from quadrec.periods import RecurrenceTuple
+
+    K2 = quadratic_field(2)
+    mixed = [PHI, qelem(K2, 1, 1)]
+    calls = [lambda: as_elements(mixed), lambda: PHI + mixed[1],
+             lambda: PHI * mixed[1], lambda: as_element(PHI, K2),
+             lambda: triple_height(*mixed, 1),
+             lambda: multiplicative_rank(mixed),
+             lambda: RecurrenceTuple(tuple(mixed), (1, 1))]
+    for call in calls:
+        with pytest.raises(QuadrecError) as info:
+            call()
+        assert isinstance(info.value, MixedFieldError)
+        assert isinstance(info.value, UsageError) and isinstance(info.value, ValueError)
+        assert info.value.exit_code == 2
+        assert "different field" in str(info.value)
 
 
 def test_pow_matches_repeated_product():
@@ -179,6 +203,29 @@ def test_primes_above_counts():
     assert len(prime_ideals_above(None, 13)) == 1
     with pytest.raises(UsageError):
         prime_ideals_above(K5, 12)
+
+
+def test_sieved_and_factored_primes_are_not_proved_again(monkeypatch):
+    from quadrec.dynamics import expected_counts
+    from quadrec.periods import ideal_factorization
+    from quadrec.search import wieferich_predicate
+    from quadrec.wieferich import count_non_wieferich
+
+    for p in oracles.primes_below(200):
+        for fld in (None, K5, quadratic_field(-7)):
+            assert _prime_ideals_above(fld, p) == prime_ideals_above(fld, p)
+    calls = []
+    real = ring.is_prime
+    monkeypatch.setattr(ring, "is_prime", lambda n: calls.append(n) or real(n))
+    expected_counts([2, 3], [10 ** 4])
+    count_non_wieferich(PHI, 2000)
+    ideal_factorization(K5, 2 * 3 * 7 * 11 * 10007)
+    test = wieferich_predicate(PHI, 5).test
+    for p in oracles.primes_below(500):
+        test(p)
+    assert calls == []
+    prime_ideals_above(K5, 7)  # the public entry still checks its p
+    assert calls == [7]
 
 
 def test_ideal_norms_and_labels():

@@ -1,9 +1,15 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from quadrec.errors import CheckpointError, UsageError
+from quadrec import search
+from quadrec.errors import CheckpointError, InvariantBreachError, UsageError
+from quadrec.ring import as_element, prime_ideals_above, quadratic_field
 from quadrec.search import (
     SearchPredicate,
     iter_primes,
@@ -86,6 +92,103 @@ def test_wall_scan_small_slice():
     ck = search_range(wall_predicate(), 2, 3000)
     assert ck.hits == []
     assert ck.primes_scanned == len(oracles.primes_below(3000))
+
+
+def test_wall_predicate_runs_the_period_test_only_past_the_screen(monkeypatch):
+    calls = []
+    real = search.wall_period_test
+    monkeypatch.setattr(search, "wall_period_test",
+                        lambda p: calls.append(p) or real(p))
+    ck = search_range(wall_predicate(), 2, 3000)
+    assert ck.hits == [] and calls == [2, 5]  # 2 and 5 skip the screen
+
+
+def test_wall_predicate_flags_a_screen_that_wall_contradicts(monkeypatch):
+    monkeypatch.setattr(search, "wss_screen", lambda p: True)
+    pred = wall_predicate()
+    assert pred.test(5) is None
+    with pytest.raises(InvariantBreachError, match="p=7 passes"):
+        pred.test(7)
+
+
+@settings(max_examples=30)
+@given(st.integers(-60, 60).filter(bool), st.integers(1, 60))
+@example(1, 1)
+@example(-1, 1)
+@example(-7, 7)
+@example(3, 1)     # the hit 11
+@example(-5, 49)   # support at 5 and 7
+def test_rational_base_hits_match_the_ideal_route_and_plain_pow(a, b):
+    from quadrec.wieferich import fermat_quotient_residue
+
+    g = Fraction(a, b)
+    got = search_range(wieferich_predicate(g), 2, 5000).hits
+    by_ideal = []
+    for p in oracles.primes_below(5000):
+        (P,) = prime_ideals_above(None, p)
+        if g.numerator % p and g.denominator % p and fermat_quotient_residue(g, P) == 0:
+            by_ideal.append({"p": p, "ideals": [str(p)], "aggregate": True})
+    by_pow = [{"p": p, "ideals": [str(p)], "aggregate": True} for p in
+              oracles.rational_wieferich_primes(g.numerator, g.denominator, 5000)]
+    assert got == by_ideal == by_pow
+
+
+K5 = quadratic_field(5)
+
+
+@pytest.mark.parametrize("base, d, hit", [
+    (1, None, {"p": 15, "ideals": ["15"], "aggregate": True}),
+    (-1, None, {"p": 91, "ideals": ["91"], "aggregate": True}),
+    (as_element(1, K5), 5, {"p": 21, "ideals": ["21i"], "aggregate": True}),
+])
+def test_verify_rejects_a_hit_at_a_composite_p(base, d, hit):
+    pred = wieferich_predicate(base, d)
+    # test trusts its p to be prime and would rebuild the tampered record
+    assert pred.test(hit["p"]) == hit
+    assert pred.verify(hit) is False
+
+
+@pytest.mark.parametrize("hit", [
+    {"p": 1, "pi_p": 1, "pi_p2": 1},     # Wall's test alone accepted this
+    {"p": 15, "pi_p": 40, "pi_p2": 40},  # and raised a breach at this one
+])
+def test_wall_verify_rejects_a_hit_at_a_non_prime_p(hit):
+    assert wall_predicate().verify(hit) is False
+
+
+def test_resume_rejects_a_stored_hit_at_a_composite_p(tmp_path):
+    pred = wieferich_predicate(1)
+    path = tmp_path / "composite.ckpt"
+    rec = {
+        "version": 1,
+        "config_hash": predicate_config_hash(pred, 2, 500),
+        "range": [2, 500],
+        "cursor": 100,
+        "hits": [{"p": 15, "ideals": ["15"], "aggregate": True}],
+        "stats": {"primes_scanned": 25},
+    }
+    path.write_text(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(CheckpointError, match="fails re-verification"):
+        search_range(pred, 2, 500, str(path), resume=True)
+
+
+@pytest.mark.parametrize("make, hi, config_hash, digest", [
+    (lambda: wieferich_predicate(2), 20000, "49def3110e0eadc6", "4cdfba811adb72b4"),
+    (lambda: wieferich_predicate(Fraction(-3, 7)), 5000,
+     "9896a422669c6dbb", "58ab565e315d149c"),
+    (wall_predicate, 5000, "1523644665af2ee7", "e39201ddda3913a3"),
+], ids=["base-2", "base-minus-3-over-7", "wall"])
+def test_config_hash_and_checkpoint_bytes_are_pinned(tmp_path, make, hi,
+                                                     config_hash, digest):
+    # checkpoint files as the ideal route wrote them, byte for byte
+    pred = make()
+    path = str(tmp_path / "pin.ckpt")
+    ck = search_range(pred, 2, hi, path, stop_after=300)
+    while not ck.complete:
+        ck = search_range(pred, 2, hi, path, resume=True, stop_after=700)
+    assert predicate_config_hash(pred, 2, hi) == config_hash
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest()[:16] == digest
 
 
 def test_interrupted_resume_is_byte_identical(tmp_path):

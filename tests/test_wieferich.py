@@ -19,6 +19,7 @@ from quadrec.wieferich import (
     is_x_fw_prime,
     wall_period_test,
     wss_divisibility_test,
+    wss_screen,
 )
 
 K5 = quadratic_field(5)
@@ -173,6 +174,21 @@ def test_two_detectors_agree_small():
         if p in (2, 5):
             continue
         assert wall_period_test(p).equal == wss_divisibility_test(p), p
+
+
+def test_wss_screen_agrees_with_both_detectors():
+    # the scan's one-chain screen decides what Wall's test and the matrix
+    # detector decide, at every prime below 10^5 outside {2, 5}
+    for p in oracles.primes_below(10 ** 5):
+        if p < 7:
+            continue
+        assert wss_screen(p) == wall_period_test(p).equal == wss_divisibility_test(p), p
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_wss_screen_refuses_the_exceptional_primes(p):
+    with pytest.raises(UsageError):
+        wss_screen(p)
 
 
 def test_wall_lift_structure():
