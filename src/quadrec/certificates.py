@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
 from .periods import multiplicative_order
@@ -27,62 +28,26 @@ from .ring import (
 from .wieferich import fermat_quotient_residue
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic polynomials
-
-
-_CYCLO: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num, den):
-    """Quotient of num/den over Z; the division must be exact."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1]:
-            raise InvariantBreachError("inexact polynomial division")
-        q[k] = c // den[-1]
-        if q[k]:
-            for j, dj in enumerate(den):
-                num[k + j] -= q[k] * dj
-    if any(num):
-        raise InvariantBreachError("inexact polynomial division")
-    return q
-
-
-def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, constant term first, by exact division of x^n - 1."""
+def cyclotomic_value(gamma, n: int) -> QuadraticElement:
+    """Phi_n(gamma), exactly, as the Moebius product of (gamma^d - 1)^mu(n/d)
+    over d | n: gamma^(n/s) - 1 for each squarefree s | n goes in the
+    numerator when s has an even number of prime factors, else in the
+    denominator.  A torsion gamma is refused, since some factor may be 0."""
     if n < 1:
         raise UsageError("cyclotomic index must be >= 1")
-    if n in _CYCLO:
-        return _CYCLO[n]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, cyclotomic_poly(d))
-    num = [-1] + [0] * (n - 1) + [1]
-    out = tuple(_poly_divexact(num, den))
-    _CYCLO[n] = out
-    return out
-
-
-def cyclotomic_value(gamma, n: int) -> QuadraticElement:
-    """Phi_n(gamma), exactly, by Horner evaluation."""
     g = as_element(gamma)
-    acc = as_element(0, g.field)
-    for c in reversed(cyclotomic_poly(n)):
-        acc = acc * g + c
-    return acc
+    if is_torsion(g):
+        raise UsageError("cyclotomic values need a non-torsion base")
+    ps = tuple(factorize(n))
+    num = den = as_element(1, g.field)
+    for k in range(len(ps) + 1):
+        for rs in combinations(ps, k):
+            term = g ** (n // math.prod(rs)) - 1
+            if k % 2:
+                den = den * term
+            else:
+                num = num * term
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +83,7 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
     (mod P) for each prime r | n, so N(P) +- 1 is never factored.
     """
     g = as_element(gamma)
-    if is_torsion(g):
-        raise UsageError("torsion base certifies nothing")
-    factors = ideal_factors(cyclotomic_value(g, n), index=n)
+    factors = ideal_factors(cyclotomic_value(g, n), index=n)  # refuses torsion
     banned = {P.label() for P, _ in ideal_factors(g)}
     n_primes = tuple(factorize(n))
     out = []
@@ -212,7 +175,7 @@ def _min_poly(g: QuadraticElement) -> tuple[int, int, int]:
     return a // k, b // k, c // k
 
 
-def certified_count(gamma, bound: int, log=None) -> CertifiedCount:
+def certified_count(gamma, bound: int) -> CertifiedCount:
     """Distinct certified non-Wieferich primes of norm <= bound.
 
     An unfactorable Phi_n(gamma) skips that n (the count stays a lower bound).
@@ -220,15 +183,12 @@ def certified_count(gamma, bound: int, log=None) -> CertifiedCount:
     g = as_element(gamma)
     n_max = witness_limit(g, bound)
     seen: dict[str, int] = {}
-    kept: set[str] = set()
     per_n, skipped, certs_kept = [], [], []
     for n in range(1, n_max + 1):
         try:
             certs = certificate_for_n(g, n)
-        except FactorizationError as exc:
+        except FactorizationError:
             skipped.append(n)
-            if log:
-                log(f"n={n} skipped: {exc}")
             continue
         labels = []
         for c in certs:
@@ -238,9 +198,8 @@ def certified_count(gamma, bound: int, log=None) -> CertifiedCount:
                     f"prime {lbl} certified by both n={seen[lbl]} and n={n}"
                 )
             if c.prime_ideal.norm <= bound:
-                kept.add(lbl)
                 labels.append(lbl)
                 certs_kept.append(c)
         per_n.append((n, tuple(labels)))
-    return CertifiedCount(str(g), bound, len(kept), tuple(per_n), tuple(skipped),
-                          tuple(certs_kept))
+    return CertifiedCount(str(g), bound, len(certs_kept), tuple(per_n),
+                          tuple(skipped), tuple(certs_kept))

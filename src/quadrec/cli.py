@@ -224,6 +224,10 @@ def _tuple_parts(spec: str, field_d: Optional[int]
 
 def _canonical_tuple_spec(spec: str, field_d: Optional[int]) -> str:
     if spec in _PRESETS:
+        d = _PRESETS[spec]().field().d
+        if field_d is not None and field_d != d:
+            raise UsageError(
+                f"preset {spec} uses sqrt({d}) but --field-d is {field_d}")
         return spec
     return ";".join(",".join(format_quadratic(x) for x in xs)
                     for xs in _tuple_parts(spec, field_d))

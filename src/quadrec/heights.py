@@ -199,10 +199,7 @@ class PhiRatio:
 
 def phi_norm_ratio(gamma, n: int) -> PhiRatio:
     g = as_element(gamma)
-    val = cyclotomic_value(g, n)
-    if val.is_zero():
-        raise UsageError("cyclotomic value vanishes: torsion base")
-    ratio = log_norm(val) / euler_phi(n)
+    ratio = log_norm(cyclotomic_value(g, n)) / euler_phi(n)
     return PhiRatio(n, ratio, archimedean_height_sum(g))
 
 

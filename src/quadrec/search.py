@@ -103,6 +103,26 @@ def _load_last_record(path: str) -> dict:
     raise CheckpointError(f"no usable checkpoint record in {path}")
 
 
+def _resume_state(rec: dict, lo: int, hi: int) -> tuple[int, list, int]:
+    """The cursor, hits and primes_scanned of a loaded record, refused
+    unless the cursor lies in [lo, hi], at most cursor - lo primes were
+    scanned, and every hit is a record whose p lies in [lo, cursor)."""
+    cursor, hits = rec.get("cursor"), rec.get("hits")
+    stats = rec.get("stats")
+    scanned = stats.get("primes_scanned") if isinstance(stats, dict) else None
+    if type(cursor) is not int or not lo <= cursor <= hi:
+        raise CheckpointError(f"checkpoint cursor {cursor!r} is not in [{lo}, {hi}]")
+    if type(scanned) is not int or not 0 <= scanned <= cursor - lo:
+        raise CheckpointError(
+            f"checkpoint primes_scanned {scanned!r} is not in [0, {cursor - lo}]")
+    if not isinstance(hits, list) or not all(
+            isinstance(hit, dict) and type(hit.get("p")) is int
+            and lo <= hit["p"] < cursor for hit in hits):
+        raise CheckpointError(
+            f"checkpoint hits are not records with p in [{lo}, {cursor})")
+    return cursor, list(hits), scanned
+
+
 def search_range(pred: SearchPredicate, lo: int, hi: int,
                  checkpoint_path: Optional[str] = None, *,
                  resume: bool = False,
@@ -125,11 +145,11 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
                 "checkpoint belongs to a different configuration "
                 f"({rec.get('config_hash')} != {h})"
             )
-        for hit in rec["hits"]:
+        cursor, hits, scanned = _resume_state(rec, lo, hi)
+        for hit in hits:
             if not pred.verify(hit):
                 raise CheckpointError(f"stored hit fails re-verification: {hit}")
-        ck = SearchCheckpoint(lo, hi, rec["cursor"], list(rec["hits"]),
-                              rec["stats"]["primes_scanned"], h)
+        ck = SearchCheckpoint(lo, hi, cursor, hits, scanned, h)
     elif checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
 

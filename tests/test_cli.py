@@ -157,6 +157,24 @@ def test_literals_from_two_fields_exit_2(capsys, argv):
 # subcommands end to end
 
 
+@pytest.mark.parametrize("preset, hashes", [
+    ("fibonacci", ("6accc3d004dac0bc", "c20c5b8160810c7a")),
+    ("lucas", ("4de873b4c0ff38c6", "3ee73d1eb9df3f18")),
+])
+def test_preset_in_another_field_exits_2(capsys, preset, hashes):
+    # a preset is read in Q(sqrt(5)), as its literal spelling would be
+    for d in ("2", "-1"):
+        code, out, err = run_cli(capsys, "period", "--tuple", preset,
+                                 "--mod", "10", "--field-d", d)
+        assert (code, out) == (2, "")
+        assert f"preset {preset} uses sqrt(5) but --field-d is {d}" in err
+    # the preset's own field is still accepted, and no valid config's hash moves
+    argv = ["period", "--tuple", preset, "--mod", "10"]
+    cfg = parse_args(argv + ["--field-d", "5"])
+    assert cfg.tuple_spec == preset and cfg.field_d == 5
+    assert (cfg.config_hash(), parse_args(argv).config_hash()) == hashes
+
+
 def test_period_text(capsys):
     code, out, _ = run_cli(capsys, "period", "--tuple", "fibonacci",
                            "--mod", "7")
@@ -363,6 +381,43 @@ def test_search_checkpoint_config_mismatch_exits_6(capsys, tmp_path):
     assert code == 6 and "error:" in err
 
 
+def _drop_stats(rec):
+    del rec["stats"]
+
+
+def _drop_first_p(rec):
+    del rec["hits"][0]["p"]
+
+
+@pytest.mark.parametrize("tamper", [
+    _drop_stats,
+    lambda rec: rec.update(cursor="abc"),
+    lambda rec: rec.update(hits=5),
+    _drop_first_p,
+    lambda rec: rec.update(cursor=0, hits=[]),  # rescanned [2, 5000) twice
+    lambda rec: rec.update(cursor=5001),
+    lambda rec: rec.update(cursor=True),
+    lambda rec: rec.update(cursor=2000),        # 3511 lies past the cursor
+    lambda rec: rec.update(stats={"primes_scanned": 4999}),
+    lambda rec: rec.update(stats={"primes_scanned": -1}),
+    lambda rec: rec.update(hits=[[1093]]),
+], ids=["no-stats", "cursor-abc", "hits-5", "hit-without-p", "cursor-0",
+        "cursor-past-hi", "cursor-bool", "hit-past-cursor",
+        "scanned-past-cursor", "scanned-negative", "hit-not-a-record"])
+def test_search_malformed_checkpoint_exits_6(capsys, tmp_path, tamper):
+    ck = tmp_path / "w.jsonl"
+    args = ("search-wieferich", "--base", "2", "--to", "5000",
+            "--checkpoint", str(ck))
+    code, first, _ = run_cli(capsys, *args)
+    rec = json.loads(ck.read_text().splitlines()[-1])
+    assert (code, rec["cursor"], len(rec["hits"])) == (0, 5000, 2)
+    tamper(rec)
+    ck.write_text(json.dumps(rec) + "\n")
+    code, out, err = run_cli(capsys, *args, "--resume")
+    assert (code, out) == (6, "")
+    assert err.startswith("error: checkpoint ")
+
+
 def test_search_wss_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "search-wss", "--to", "1000",
                            "--emit", "csv")
@@ -405,6 +460,14 @@ def test_phi_ratio_rows(capsys):
     import math
     assert abs(float(doc["ratio"]) - math.log(3) / 2) < 1e-12
     assert abs(float(doc["target"]) - math.log(2)) < 1e-12
+
+
+def test_phi_ratio_torsion_base_exits_2(capsys):
+    # -1 has order 2, so no window of indices is evaluated for it
+    code, out, err = run_cli(capsys, "phi-ratio", "--base", "-1",
+                             "--n-from", "3", "--n-to", "5")
+    assert (code, out) == (2, "")
+    assert "non-torsion" in err
 
 
 def test_rank_report(capsys):

@@ -179,7 +179,7 @@ def test_phi_norm_ratio_values():
     assert abs(r.target - math.log(2)) < TOL
     assert abs(phi_norm_ratio(2, 210).ratio - math.log(2)) < 0.05
     with pytest.raises(UsageError):
-        phi_norm_ratio(-1, 2)  # Phi_2(-1) = 0
+        phi_norm_ratio(-1, 2)  # a torsion base; Phi_2(-1) = 0
 
 
 def test_phi_norm_ratio_quadratic_target():

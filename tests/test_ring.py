@@ -525,8 +525,9 @@ def test_factorize_along_cyclotomic_classes_matches_plain(d, a, b, den, n):
     # q^2 = 1 (mod n), so the class-restricted walk must lose nothing
     from quadrec.certificates import cyclotomic_value
     field = None if d is None else quadratic_field(d)
-    value = cyclotomic_value(qelem(field, a, b if field else 0, den), n)
-    assume(not value.is_zero())
+    gamma = qelem(field, a, b if field else 0, den)
+    assume(not is_torsion(gamma))  # cyclotomic_value refuses roots of unity
+    value = cyclotomic_value(gamma, n)
     N = abs(field_norm(value).numerator)
     try:
         plain = factorize(N, rho_budget=50_000)

@@ -235,6 +235,22 @@ def test_resume_rejects_garbage_file(tmp_path):
         search_range(wieferich_predicate(2), 2, 500, None, resume=True)
 
 
+def test_resume_accepts_records_at_the_edges(tmp_path):
+    # cursor = lo with nothing scanned yet, and a finished prime-free range
+    pred = wieferich_predicate(2)
+    path = tmp_path / "edge.ckpt"
+    rec = {"version": 1, "config_hash": predicate_config_hash(pred, 2, 500),
+           "range": [2, 500], "cursor": 2, "hits": [],
+           "stats": {"primes_scanned": 0}}
+    path.write_text(json.dumps(rec) + "\n")
+    ck = search_range(pred, 2, 500, str(path), resume=True)
+    assert (ck.cursor, ck.primes_scanned, ck.hits) == (500, 95, [])
+    empty = str(tmp_path / "empty.ckpt")
+    search_range(pred, 24, 29, empty)
+    ck = search_range(pred, 24, 29, empty, resume=True)
+    assert (ck.cursor, ck.primes_scanned) == (29, 0)
+
+
 def test_resume_reverifies_hits(tmp_path):
     pred = wieferich_predicate(2)
     path = tmp_path / "f.ckpt"
