@@ -115,8 +115,6 @@ def _has_order(x: ResidueElement, n: int, n_primes) -> bool:
 
 @dataclass(frozen=True)
 class CertifiedCount:
-    base: str
-    bound: int
     count: int
     per_n: tuple[tuple[int, tuple[str, ...]], ...]  # witness index -> kept primes
     # indices whose Phi_n(gamma) neither rho nor p-1 split within the budget
@@ -201,5 +199,5 @@ def certified_count(gamma, bound: int) -> CertifiedCount:
                 labels.append(lbl)
                 certs_kept.append(c)
         per_n.append((n, tuple(labels)))
-    return CertifiedCount(str(g), bound, len(certs_kept), tuple(per_n),
-                          tuple(skipped), tuple(certs_kept))
+    return CertifiedCount(len(certs_kept), tuple(per_n), tuple(skipped),
+                          tuple(certs_kept))

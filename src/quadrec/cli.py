@@ -355,6 +355,8 @@ def _scan_shard(spec: tuple) -> tuple[list, int]:
 
 
 def _cmd_search(cfg: RunConfig, out) -> None:
+    if cfg.resume and not cfg.checkpoint:
+        raise UsageError("--resume needs --checkpoint")
     if cfg.workers > 1 and cfg.checkpoint:
         raise UsageError("checkpointing requires --workers 1")
     if cfg.workers == 1:

@@ -65,7 +65,6 @@ class RecurrenceTuple:
 
 @dataclass(frozen=True)
 class PeriodReport:
-    modulus: str
     period: int
     per_generator_orders: tuple[tuple[int, str, int], ...]
     method: str  # "formula" | "brute_force"
@@ -150,7 +149,7 @@ def multiplicative_order(x: ResidueElement) -> int:
     """
     if not x.is_unit():
         raise DegenerateInputError("multiplicative order of a non-unit")
-    P, e = x.ring.ideal, x.ring.e
+    P, e = x.modulus
     fac = dict(factorize(P.p - 1))
     if P.f == 2:
         for q, a in factorize(P.p + 1).items():
@@ -189,8 +188,7 @@ def period_formula(t: RecurrenceTuple,
             k = multiplicative_order(reduce(gen, (P, e)))
             orders.append((j, f"{P.label()}^{e}", k))
             period = period * k // math.gcd(period, k)
-    label = ",".join(f"{P.label()}^{e}" for P, e in factorization) or "(1)"
-    return PeriodReport(label, period, tuple(orders), "formula")
+    return PeriodReport(period, tuple(orders), "formula")
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +266,24 @@ def _pair_embedding(field: Optional[QuadraticField], m: Modulus,
 
     An integer modulus m is Z[w]/m, entered through _to_pair.  A prime power
     (P, e) is entered through reduce(), whose residues are pairs mod p^e as
-    well (v = 0 except on inert rings), so both kinds share one arithmetic.
+    well (v = 0 except on inert rings), so both kinds share one arithmetic;
+    there t and n come from P's field, since a rational tuple may be reduced
+    at an ideal of Q(sqrt(d)).
     The constant recurrence coefficient c0 must be a unit, or the state map
     (a companion matrix of determinant +-c0) has no purely periodic orbit.
     """
     if isinstance(m, tuple):
-        r0 = reduce(c0, m)
-        if not r0.is_unit():
+        P, e = m
+        if not reduce(c0, m).is_unit():
             raise DegenerateInputError(
-                f"constant coefficient not a unit mod {m[0].label()}^{m[1]}")
+                f"constant coefficient not a unit mod {P.label()}^{e}")
 
         def embed(x):
             r = reduce(x, m)
             return r.u, r.v
-        return embed, (r0.ring.t, r0.ring.n, r0.ring.pe)
+        fld = P.field
+        t, n = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
+        return embed, (t, n, P.p ** e)
     if m < 1:
         raise UsageError("modulus must be a positive integer")
     t, n = (field.omega_trace, field.omega_norm) if field is not None else (0, 0)
@@ -299,13 +301,12 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     orbit is purely periodic and first return equals minimal period.
     """
     if m == 1:
-        return PeriodReport("1", 1, (), "brute_force")
-    label = f"{m[0].label()}^{m[1]}" if isinstance(m, tuple) else str(m)
+        return PeriodReport(1, (), "brute_force")
     coeffs = char_coefficients(t)
     embed, ring = _pair_embedding(t.field(), m, coeffs[0])
     k = _state_period([embed(c) for c in coeffs],
                       [embed(x) for x in initial_terms(t)], *ring)
-    return PeriodReport(label, k, (), "brute_force")
+    return PeriodReport(k, (), "brute_force")
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +333,11 @@ def _is_fib_period(k: int, m: int) -> bool:
 def pisano_prime_power(p: int, e: int) -> int:
     """Pisano period mod p^e, with no state loop.
 
-    The order of the Fibonacci step matrix mod p is stripped from a known
-    multiple: p-1 when p splits in Q(sqrt(5)), 2(p+1) when it is inert
-    (p = 2 included), and pi(5) = 20 at the ramified p = 5.  It is then
-    lifted one power at a time; each lift multiplies the period by p or
-    leaves it (Wall 1960), at every prime.
+    The order of the Fibonacci step matrix mod p^e is stripped from a known
+    multiple: p^(e-1) times p-1 when p splits in Q(sqrt(5)), 2(p+1) when it
+    is inert (p = 2 included), or pi(5) = 20 at the ramified p = 5.  The
+    factor p^(e-1) is Wall's bound (Wall 1960): at every prime, the period
+    mod p^e divides p^(e-1) times the period mod p.
     """
     sym = kronecker(5, p)
     if sym == 1:
@@ -346,20 +347,16 @@ def pisano_prime_power(p: int, e: int) -> int:
         fac[2] = fac.get(2, 0) + 1  # multiple is 2(p+1) in the inert case
     else:
         fac = {2: 2, 5: 1}  # pi(5) = 20 at the ramified p = 5
+    fac[p] = fac.get(p, 0) + e - 1
+    pe = p ** e
     k = 1
     for q, a in fac.items():
         k *= q ** a
-    if not _is_fib_period(k, p):
-        raise InvariantBreachError(f"{k} is not a Fibonacci period mod {p}")
+    if not _is_fib_period(k, pe):
+        raise InvariantBreachError(f"{k} is not a Fibonacci period mod {p}^{e}")
     for q in fac:
-        while k % q == 0 and _is_fib_period(k // q, p):
+        while k % q == 0 and _is_fib_period(k // q, pe):
             k //= q
-    for i in range(2, e + 1):
-        if not _is_fib_period(k, p ** i):
-            k *= p
-            if not _is_fib_period(k, p ** i):
-                raise InvariantBreachError(
-                    f"{k} is not a Fibonacci period mod {p}^{i}")
     return k
 
 

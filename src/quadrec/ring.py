@@ -788,46 +788,17 @@ def ideal_factors(x: QuadraticElement,
 # residue rings O_K / P^e
 
 
-class _ResidueRing:
-    """O_K/P^e for one modulus (P, e), held as the plain ints its elements use.
-
-    Single-residue rings (rational P, split P, ramified P at e = 1) are
-    Z/p^e: an element a + b*w maps to a + b*root, with root the zero of w's
-    minimal polynomial lifted from P.hensel_root to p^e.  Inert rings keep
-    coordinate pairs u + v*w with w^2 = t*w - n.
-    """
-
-    __slots__ = ("ideal", "p", "e", "pe", "pair", "t", "n", "root")
-
-    def __init__(self, P: PrimeIdealData, e: int):
-        if P.kind == "ramified" and e >= 2:
-            raise DegenerateInputError(
-                "residue arithmetic past exponent 1 at a ramified prime is unsupported"
-            )
-        self.ideal, self.p, self.e, self.pe = P, P.p, e, P.p ** e
-        self.pair = P.kind == "inert"
-        fld = P.field
-        self.t, self.n = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
-        self.root = None
-        if P.kind == "split":
-            self.root = _lift_root(P.hensel_root, P.p, e, self.t, self.n)
-        elif P.kind == "ramified":
-            self.root = P.hensel_root
-
-    def __repr__(self) -> str:
-        return f"_ResidueRing({self.ideal.label()}^{self.e})"
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class ResidueElement:
-    """Element of O_K/P^e: one residue u mod p^e, or a coordinate pair u + v*w.
+    """Element of O_K/P^e, with modulus = (P, e): one residue u mod p^e, or a
+    coordinate pair u + v*w with w^2 = t*w - n when P is inert.
 
     u and v are plain ints in [0, p^e); v is 0 outside inert rings.  There is
     no arithmetic on elements: residue_pow is the one product, and callers
     read (u, v) directly.  Equality is identity; compare (u, v) pairs.
     """
 
-    ring: _ResidueRing
+    modulus: tuple[PrimeIdealData, int]
     u: int
     v: int = 0
 
@@ -835,51 +806,51 @@ class ResidueElement:
         return self.u == 1 and self.v == 0
 
     def is_unit(self) -> bool:
-        ring, u, v = self.ring, self.u, self.v
-        if not ring.pair:
-            return u % ring.p != 0
-        return (u * u + ring.t * u * v + ring.n * v * v) % ring.p != 0  # norm
+        P, u, v = self.modulus[0], self.u, self.v
+        if P.kind != "inert":
+            return u % P.p != 0
+        t, n = P.field.omega_trace, P.field.omega_norm
+        return (u * u + t * u * v + n * v * v) % P.p != 0  # norm
 
 
 def reduce(x, modulus: tuple[PrimeIdealData, int]) -> ResidueElement:
-    """Ring homomorphism into O_K/P^e; split primes substitute the lifted root."""
+    """Ring homomorphism into O_K/P^e, with modulus = (P, e).
+
+    Inert P keeps the pair a + b*w.  Every other P is Z/p^e: a + b*w maps to
+    a + b*root, with root P.hensel_root, lifted to p^e at split P.  A p-part
+    of the denominator can cancel against the numerator only at split P (the
+    conjugate prime absorbs it), so there the root is lifted further by
+    v_p(den); elsewhere it is refused, as is a ramified P past e = 1.
+    """
     P, e = modulus
     if e < 1:
         raise UsageError("exponent must be >= 1")
     x = as_element(x, P.field)
     if x.field is not None and P.field is None:
         raise ValueError("quadratic element at a rational prime")
-    den = x.den
-    if den % P.p == 0:
-        # A p-part in the denominator can cancel against the numerator at one
-        # split prime (the conjugate prime absorbs it); everywhere else the
-        # element genuinely fails to be integral at P.
-        if P.kind == "split":
-            return _reduce_split_cancelling(x, _ResidueRing(P, e))
+    p, den = P.p, x.den
+    vd = _vp(den, p) if den % p == 0 else 0
+    if vd and P.kind != "split":
         raise DegenerateInputError(
             f"denominator {den} is not invertible modulo {P.label()}^{e}"
         )
-    ring = _ResidueRing(P, e)
-    pe = ring.pe
-    dinv = 1 if den == 1 else pow(den, -1, pe)
-    if ring.pair:
-        return ResidueElement(ring, x.num_a * dinv % pe, x.num_b * dinv % pe)
-    if ring.root is None:
-        return ResidueElement(ring, x.num_a * dinv % pe, 0)
-    return ResidueElement(ring, (x.num_a + x.num_b * ring.root) * dinv % pe, 0)
-
-
-def _reduce_split_cancelling(x: QuadraticElement, ring: _ResidueRing) -> ResidueElement:
-    p, e, pe = ring.p, ring.e, ring.pe
-    vd = _vp(x.den, p)
-    c = _lift_root(ring.root, p, e + vd, ring.t, ring.n)
-    num = (x.num_a + x.num_b * c) % p ** (e + vd)
-    if num % p ** vd != 0:
+    if P.kind == "ramified" and e >= 2:
         raise DegenerateInputError(
-            f"element has negative valuation at {ring.ideal.label()}: cannot reduce"
+            "residue arithmetic past exponent 1 at a ramified prime is unsupported"
         )
-    u = (num // p ** vd) * pow(x.den // p ** vd, -1, pe) % pe
-    return ResidueElement(ring, u, 0)
+    pe, pv = p ** e, p ** vd
+    a, b = x.num_a, x.num_b
+    if P.hensel_root is not None:  # split or ramified: w -> its root mod p
+        fld = P.field
+        a += b * _lift_root(P.hensel_root, p, e + vd, fld.omega_trace,
+                            fld.omega_norm)
+        b = 0
+        if a % pv:
+            raise DegenerateInputError(
+                f"element has negative valuation at {P.label()}: cannot reduce"
+            )
+    dinv = 1 if den == 1 else pow(den // pv, -1, pe)
+    return ResidueElement(modulus, a // pv * dinv % pe, b * dinv % pe)
 
 
 def residue_pow(x: ResidueElement, k: int) -> ResidueElement:
@@ -891,11 +862,11 @@ def residue_pow(x: ResidueElement, k: int) -> ResidueElement:
     """
     if k < 0:
         raise ValueError("negative exponent: invert first")
-    ring = x.ring
-    pe = ring.pe
-    if not ring.pair:
-        return ResidueElement(ring, pow(x.u, k, pe), 0)
-    t, n = ring.t, ring.n
+    P, e = x.modulus
+    pe = P.p ** e
+    if P.kind != "inert":
+        return ResidueElement(x.modulus, pow(x.u, k, pe), 0)
+    t, n = P.field.omega_trace, P.field.omega_norm
     au, av, bu, bv = 1, 0, x.u, x.v
     while k:
         if k & 1:
@@ -903,7 +874,7 @@ def residue_pow(x: ResidueElement, k: int) -> ResidueElement:
         k >>= 1
         if k:
             bu, bv = (bu * bu - n * bv * bv) % pe, (2 * bu + t * bv) * bv % pe
-    return ResidueElement(ring, au, av)
+    return ResidueElement(x.modulus, au, av)
 
 
 def unit_group_order(modulus: tuple[PrimeIdealData, int]) -> int:

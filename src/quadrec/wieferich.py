@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
-from .periods import _fib_pair, _is_fib_period, pisano_prime_power
+from .periods import _fib_pair, pisano_prime_power
 from .ring import (
     PrimeIdealData,
     _prime_ideals_above,
@@ -76,13 +76,9 @@ def is_x_fw_prime(X: Sequence, P: PrimeIdealData) -> bool:
 
 
 def wall_period_test(p: int) -> WallVerdict:
-    """Compare the Fibonacci period mod p and mod p^2.
-
-    The second period is pinned by the first: it either stays or picks up one
-    factor of p, so a single entry check at p^2 settles it.
-    """
-    k1 = pisano_prime_power(p, 1)
-    k2 = k1 if _is_fib_period(k1, p * p) else k1 * p
+    """Compare the Fibonacci period mod p and mod p^2, both from
+    pisano_prime_power; the second is the first or p times it."""
+    k1, k2 = pisano_prime_power(p, 1), pisano_prime_power(p, 2)
     return WallVerdict(p, k1, k2, k1 == k2)
 
 

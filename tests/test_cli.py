@@ -317,6 +317,15 @@ def test_backwards_range_exits_2_on_either_path(capsys, workers):
     assert "empty-or-backwards range [10, 5)" in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_resume_without_checkpoint_exits_2_on_either_path(capsys, workers):
+    # the sharded path used to ignore --resume and print a fresh scan
+    code, out, err = run_cli(capsys, "search-wieferich", "--base", "2",
+                             "--to", "100", "--resume", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert "--resume needs --checkpoint" in err
+
+
 def test_search_workers_with_checkpoint_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search-wss", "--to", "100",
                            "--workers", "2",

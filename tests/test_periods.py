@@ -205,6 +205,26 @@ def test_brute_ideal_vs_rational_modulus():
         assert period_bruteforce(FIB, (P, 1)).period == 10
 
 
+def test_brute_ideal_power_matches_its_integer_modulus():
+    # O_K/P^e is Z[w]/p^e at inert and rational P, so the (t, n, p^e) triple
+    # that _pair_embedding builds for (P, e) must give the p^e period
+    covered = set()
+    for t in standard_battery():
+        for p in oracles.primes_below(3001):
+            for P in prime_ideals_above(t.field(), p):
+                if P.kind not in ("inert", "rational") or is_degenerate(t, P):
+                    continue
+                for e in range(1, 4):
+                    if P.norm ** e > 3000:
+                        break
+                    assert (period_bruteforce(t, (P, e)).period
+                            == period_bruteforce(t, p ** e).period), (
+                        t.name, P.label(), e)
+                    covered.add((P.kind, e))
+    assert covered == {(kind, e) for kind in ("inert", "rational")
+                       for e in (1, 2, 3)}
+
+
 def test_brute_quadratic_valued_tuple():
     # x_k = phi^k is not rational, so the pair path is the one exercised
     t = RecurrenceTuple((qelem(K5, 0, 1),), (as_element(1, K5),), "phi-power")
@@ -396,7 +416,8 @@ def test_pisano_prime_power_frozen():
 
 
 def test_pisano_prime_power_matches_brute():
-    # 2 and 5 included: neither iterates, both lift by Wall's rule
+    # 2 and 5 included: neither iterates, both strip p^(e-1) times the
+    # multiple at p, the bound of Wall's rule
     for p in oracles.primes_below(60):
         e = 1
         while p ** e <= 10 ** 5:

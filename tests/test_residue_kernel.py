@@ -108,7 +108,7 @@ def test_fermat_guard_raises_on_a_broken_power(monkeypatch):
     assert fermat_quotient_residue(as_element(2), P) == 2  # 2^6 = 1 + 9*7
 
     def broken(x, k):
-        return reduce(2, (x.ring.ideal, x.ring.e))  # 2 is not 1 mod 7
+        return reduce(2, x.modulus)  # 2 is not 1 mod 7
 
     monkeypatch.setattr(quadrec.wieferich, "residue_pow", broken)
     with pytest.raises(InvariantBreachError):
