@@ -271,15 +271,17 @@ def _pair_embedding(field: Optional[QuadraticField], m: Modulus,
     at an ideal of Q(sqrt(d)).
     The constant recurrence coefficient c0 must be a unit, or the state map
     (a companion matrix of determinant +-c0) has no purely periodic orbit.
+    embed hands back the residue of that unit check when given c0 itself.
     """
     if isinstance(m, tuple):
         P, e = m
-        if not reduce(c0, m).is_unit():
+        r0 = reduce(c0, m)
+        if not r0.is_unit():
             raise DegenerateInputError(
                 f"constant coefficient not a unit mod {P.label()}^{e}")
 
         def embed(x):
-            r = reduce(x, m)
+            r = r0 if x is c0 else reduce(x, m)
             return r.u, r.v
         fld = P.field
         t, n = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)

@@ -767,14 +767,16 @@ def ideal_factors(x: QuadraticElement,
                   index: int = 1) -> list[tuple[PrimeIdealData, int]]:
     """(P, v_P(x)) over every prime with nonzero valuation, sorted by p.
 
-    index is passed to factorize for the numerator of N(x) only (see there);
-    the denominator is always factored without a claim.
+    The support is the primes of N(x)'s numerator and of x's denominator.
+    The primes of N(x)'s reduced denominator are not enough: at a split p,
+    v_P(x) = -v_P'(x) cancels in the norm.  index is passed to factorize
+    for the numerator of N(x) only (see there); the denominator is always
+    factored without a claim.
     """
     if x.is_zero():
         raise ValueError("zero has no ideal factorization")
-    nrm = field_norm(x)
-    support = (set(factorize(abs(nrm.numerator), index=index))
-               | set(factorize(nrm.denominator)))
+    support = (set(factorize(abs(field_norm(x).numerator), index=index))
+               | set(factorize(x.den)))
     out = []
     for p in sorted(support):
         for P in _prime_ideals_above(x.field, p):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, InvariantBreachError, UsageError
-from .ring import (_prime_ideals_above, as_element, ideal_factors, is_prime,
-                   iter_primes, quadratic_field)
-from .wieferich import (fermat_quotient_residue, wall_period_test,
-                        wss_divisibility_test, wss_screen)
+from .ring import (_prime_ideals_above, as_element, field_norm, ideal_factors,
+                   is_prime, iter_primes, quadratic_field)
+from .wieferich import (fermat_quotient_residue, lucas_screen,
+                        wall_period_test, wss_divisibility_test, wss_screen)
 
 CHECKPOINT_VERSION = 1
 FLUSH_EVERY = 20000  # primes scanned between checkpoint records
@@ -195,6 +195,14 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     A rational base num/den has the one ideal p above p, so its test runs
     on plain ints: (num/den)^(p-1) mod p^2 is 1 + k*p, and p is a hit
     exactly when that power is 1.
+
+    A quadratic base (a + b*w)/den has two routes.  The ideal route builds
+    the ideals above p and takes the Fermat quotient at each admissible
+    one.  test runs it only on the bad primes, 2 and those dividing
+    den*disc*N(a + b*w), and on the good primes that pass lucas_screen,
+    which decides with one chain of plain ints whether any ideal above p
+    is a hit.  The screen is exact at good primes, so a screened prime
+    with no hit is a bug.  verify takes the ideal route alone.
     """
     fld = quadratic_field(field_d) if field_d is not None else None
     g = as_element(base, fld)
@@ -205,7 +213,7 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     if g.field is None:
         num, den = g.num_a, g.den
 
-        def test(p: int) -> Optional[dict]:
+        def route(p: int) -> Optional[dict]:
             if str(p) in support:
                 return None
             m = p * p
@@ -216,8 +224,14 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
             if y != 1:
                 return None
             return {"p": p, "ideals": [str(p)], "aggregate": True}
+        test = route
     else:
-        def test(p: int) -> Optional[dict]:
+        disc, den = g.field.disc, g.den
+        trace = 2 * g.num_a + g.field.omega_trace * g.num_b
+        norm = int(field_norm(g) * den * den)
+        bad = 2 * den * disc * norm
+
+        def route(p: int) -> Optional[dict]:
             ideals = [P for P in _prime_ideals_above(g.field, p)
                       if P.kind != "ramified" and P.label() not in support]
             if not ideals:
@@ -229,8 +243,20 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
             return {"p": p, "ideals": hit_labels,
                     "aggregate": len(hit_labels) == len(ideals)}
 
+        def test(p: int) -> Optional[dict]:
+            if bad % p == 0:
+                return route(p)
+            if not lucas_screen(p, trace, norm, den, disc):
+                return None
+            hit = route(p)
+            if hit is None:
+                raise InvariantBreachError(
+                    f"p={p} passes the Lucas screen mod p^3, but no ideal "
+                    f"above it is a hit")
+            return hit
+
     def verify(hit: dict) -> bool:
-        return is_prime(hit["p"]) and test(hit["p"]) == hit
+        return is_prime(hit["p"]) and route(hit["p"]) == hit
 
     return SearchPredicate(
         "alpha-wieferich", {"base": str(g), "d": field_d}, test, verify

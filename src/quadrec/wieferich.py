@@ -6,7 +6,9 @@ period test and the Fibonacci-entry divisibility test are two deliberately
 independent detectors for the Fibonacci case; they must always agree.
 wss_screen is the scan's cheap form of the same verdict: one Fibonacci
 chain on the formula side, which never replaces the two detectors when a
-hit is verified.
+hit is verified.  lucas_screen is the same move for a quadratic base: one
+Lucas chain mod p^3 decides whether some ideal above p is a hit, and the
+Fermat quotient at each ideal stays the route that names and verifies it.
 """
 from __future__ import annotations
 
@@ -92,6 +94,35 @@ def wss_screen(p: int) -> bool:
     if p in (2, 5):
         raise UsageError("the two exceptional primes carry no verdict here")
     return _fib_pair(p - kronecker(5, p), p * p)[0] == 0
+
+
+def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
+    """Whether gamma = delta/den is Wieferich at some ideal above p, from one
+    Lucas chain mod p^3; delta = a + b*w is integral, with integer trace and
+    norm, in the field of discriminant disc.
+
+    p must be odd and divide none of den, disc and norm.  Let A and B be the
+    conjugate images of delta^k and c the value that gamma's verdict asks of
+    them mod p^2: k = p - 1 and c = den^(p-1) at split p, k = p + 1 and
+    c = norm^p * den^(1-p) at inert p.  Both images are c mod p, so
+    (c - A)(c - B) = c^2 - c*V_k + norm^k is p^2 times a product, which p
+    divides exactly when A or B is c mod p^2.  V_k = A + B is the Lucas
+    sequence of (trace, norm) (Lehmer, Ann. Math. 31 (1930)).
+    """
+    m = p ** 3
+    if kronecker(disc, p) == 1:
+        k, c = p - 1, pow(den, p - 1, m)
+    else:
+        k, c = p + 1, pow(norm, p, m) * pow(den, 1 - p, m) % m
+    v0, v1, q = 2, trace, 1  # V_j, V_(j+1) and norm^j, from j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":  # j -> 2j + 1
+            v0, v1 = (v0 * v1 - trace * q) % m, (v1 * v1 - 2 * norm * q) % m
+            q = q * q * norm % m
+        else:           # j -> 2j
+            v0, v1 = (v0 * v0 - 2 * q) % m, (v0 * v1 - trace * q) % m
+            q = q * q % m
+    return (c * c - c * v0 + q) % m == 0
 
 
 def _mat_mul2(A, B, m):

@@ -285,6 +285,35 @@ def test_search_wieferich_known_hits(capsys):
     assert lines[-1]["primes_scanned"] == "1229"
 
 
+SPLIT_DEN = "(2+sqrt(13))/3"  # norm -1, yet v_3a = -1 and v_3b = 1
+
+
+def test_search_wieferich_base_with_a_split_denominator(capsys):
+    code, out, _ = run_cli(capsys, "search-wieferich", "--base", SPLIT_DEN,
+                           "--field-d", "13", "--to", "100000")
+    assert code == 0
+    lines = [json.loads(ln) for ln in out.splitlines()]
+    assert [(h["p"], h["ideals"]) for h in lines[:-1]] == [("5", ["5i"]),
+                                                           ("97", ["97i"])]
+    assert lines[-1]["hits"] == "2"
+
+
+def test_heuristic_leaves_out_the_support_of_the_denominator(capsys):
+    code, out, _ = run_cli(capsys, "heuristic", "--gen", SPLIT_DEN,
+                           "--bound", "100")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("100,0.726")
+
+
+def test_rank_counts_valuations_at_the_denominator(capsys):
+    code, out, _ = run_cli(capsys, "rank", "--gen", SPLIT_DEN,
+                           "--gen", "(3+sqrt(13))/2")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["free_rank"] == "2"
+    assert doc["support_primes"] == ["3a", "3b"]
+
+
 def test_search_wieferich_zero_base_exits_2(capsys):
     code, out, err = run_cli(capsys, "search-wieferich", "--base", "0",
                              "--to", "100")

@@ -1,8 +1,9 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import UsageError
@@ -82,6 +83,32 @@ def test_product_formula_rational(a, den):
     x = as_element(Fraction(a, den))
     total = sum(pv.log_value() for pv in local_values(x))
     assert abs(total) < TOL
+
+
+def _mahler_height(x):
+    """log M(f) / deg f, with f the primitive integer minimal polynomial of x
+    and M(f) its leading coefficient times its roots of modulus above 1."""
+    if x.num_b == 0:
+        return math.log(max(abs(x.num_a), x.den))
+    t, n = (x + x.conjugate()).as_fraction(), (x * x.conjugate()).as_fraction()
+    lead = math.lcm(t.denominator, n.denominator)
+    lead //= math.gcd(lead, int(t * lead), int(n * lead))
+    disc = cmath.sqrt(t * t - 4 * n)
+    roots = ((float(t) + disc) / 2, (float(t) - disc) / 2)
+    return math.log(lead * math.prod(max(1.0, abs(r)) for r in roots)) / 2
+
+
+@given(elements)
+@example(qelem(quadratic_field(13), 1, 2, 3))  # (2+sqrt 13)/3: 3a and 3b
+@settings(max_examples=150)
+def test_height_is_the_mahler_measure(x):
+    assert abs(element_height(x) - _mahler_height(x)) < 1e-9
+
+
+def test_height_sees_split_primes_that_cancel_in_the_norm():
+    # (2+sqrt 13)/3 has norm -1, but v_3a = -1: M(3x^2 - 4x - 3) = 3 * 1.8685
+    x = qelem(quadratic_field(13), 1, 2, 3)
+    assert round(element_height(x), 4) == 0.8619
 
 
 @given(elements)

@@ -4,9 +4,11 @@ An `assert` in src/ vanishes under `python -O`, so every invariant there must
 raise instead.  An imported name that the module never uses is dead weight
 that hides the module's real dependencies.  The period formula and its
 brute-force oracle must stay apart, so no formula-side function may name the
-oracle's state loops or embeddings, the second Wall-Sun-Sun detector may
-name nothing from periods, and the scan's Wall-Sun-Sun screen, which sits on
-the formula side, may name neither the oracle nor that detector.  Every function, class and method in src/ must be
+oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
+name nothing from periods.  The scans' screens sit on the formula side: the
+Wall-Sun-Sun screen and the Lucas screen of quadratic bases may name neither
+the oracle, nor that detector, nor the ideal route that verifies a
+quadratic base's hits.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
 An element carries its field, so outside ring.py no function takes a field
 as a defaulted `field` parameter, and heights run at one fixed precision, so
@@ -60,7 +62,9 @@ FORMULA_ROUTE = ("period_formula", "multiplicative_order", "pisano_prime_power",
 ORACLE = {"period_bruteforce", "_state_period", "_int_state_period",
           "_pair_state_period", "_pair_embedding", "_to_pair"}
 WSS_DETECTOR = ("wss_divisibility_test", "_mat_mul2")
-WSS_SCREEN = ("wss_screen",)
+SCREENS = ("wss_screen", "lucas_screen")
+IDEAL_ROUTE = {"fermat_quotient_residue", "reduce", "residue_pow",
+               "_prime_ideals_above"}
 
 
 def _mentions(tree: ast.Module, funcs) -> dict[str, set[str]]:
@@ -84,8 +88,8 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
              for f, names in _mentions(periods, FORMULA_ROUTE).items()}
     leaks.update({f: sorted(names & from_periods)
                   for f, names in _mentions(wieferich, WSS_DETECTOR).items()})
-    leaks.update({f: sorted(names & (ORACLE | set(WSS_DETECTOR)))
-                  for f, names in _mentions(wieferich, WSS_SCREEN).items()})
+    leaks.update({f: sorted(names & (ORACLE | set(WSS_DETECTOR) | IDEAL_ROUTE))
+                  for f, names in _mentions(wieferich, SCREENS).items()})
     leaks = {f: names for f, names in leaks.items() if names}
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
@@ -167,12 +171,14 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "from .periods import pisano_prime_power\n"
         "def _mat_mul2(A, B, m):\n    return A\n"
         "def wss_divisibility_test(p):\n    return pisano_prime_power(p, 1)\n"
-        "def wss_screen(p):\n    return wss_divisibility_test(p)\n",
+        "def wss_screen(p):\n    return wss_divisibility_test(p)\n"
+        "def lucas_screen(p, P):\n    return fermat_quotient_residue(p, P)\n",
         encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
             "{'pisano': ['period_bruteforce'], "
             "'wss_divisibility_test': ['pisano_prime_power'], "
-            "'wss_screen': ['wss_divisibility_test']}")):
+            "'wss_screen': ['wss_divisibility_test'], "
+            "'lucas_screen': ['fermat_quotient_residue']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
     (tmp_path / "ring.py").write_text(
         "def as_element(v, field=None):\n    return v\n"

@@ -205,6 +205,17 @@ def test_brute_ideal_vs_rational_modulus():
         assert period_bruteforce(FIB, (P, 1)).period == 10
 
 
+def test_brute_ideal_reduces_each_value_once(monkeypatch):
+    # c0 is reduced once for the unit check, and that residue is embedded
+    calls = []
+    monkeypatch.setattr(quadrec.periods, "reduce",
+                        lambda x, m: calls.append(x) or reduce(x, m))
+    for P in prime_ideals_above(K5, 11):
+        assert period_bruteforce(FIB, (P, 2)).period == 110
+    coeffs, xs = char_coefficients(FIB), initial_terms(FIB)
+    assert calls == 2 * [coeffs[0], coeffs[1], *xs]
+
+
 def test_brute_ideal_power_matches_its_integer_modulus():
     # O_K/P^e is Z[w]/p^e at inert and rational P, so the (t, n, p^e) triple
     # that _pair_embedding builds for (P, e) must give the p^e period
@@ -437,9 +448,10 @@ def test_pisano_prime_power_guard_on_multiple(monkeypatch):
         pisano_prime_power(7, 1)
 
 
-def test_pisano_prime_power_guard_on_lift(monkeypatch):
+def test_pisano_prime_power_guard_on_full_multiple_at_e2(monkeypatch):
     assert pisano_prime_power(7, 2) == 112
-    # periods mod 7 check out, but no multiple is ever a period mod 49
+    # periods mod 7 check out, but the full multiple 16 * 7 = 112 is no
+    # period mod 49, so the guard on the multiple fires at e = 2 as well
     monkeypatch.setattr(quadrec.periods, "_is_fib_period",
                         lambda k, m: m == 7 and _fib_pair(k, m) == (0, 1))
     assert pisano_prime_power(7, 1) == 16

@@ -18,6 +18,7 @@ from quadrec.ring import (
     as_elements,
     factorize,
     field_norm,
+    ideal_factors,
     is_prime,
     is_torsion,
     kronecker,
@@ -372,6 +373,24 @@ def test_valuations_account_for_the_norm(x):
         if ideals[0].kind == "ramified":
             got = quad_valuation(x, ideals[0])  # v_p(N) = v_P here, e_r = 2
         assert got == vp_norm
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((5, 13, -3, 2, -1, 17, -7, 10)), st.integers(-300, 300),
+       st.integers(-300, 300), st.integers(1, 300))
+@example(13, 1, 2, 3)  # (2+sqrt 13)/3: v_3a = -1 and v_3b = 1 cancel in N = -1
+def test_ideal_factors_agree_with_valuations(d, a, b, den):
+    # every prime where x = (a + b*w)/den has a nonzero valuation divides
+    # N(a + b*w)*den, so valuations read there give the whole factorization;
+    # N(x)'s own denominator is den^2 over a common factor, and may lose p
+    assume(a or b)
+    K = quadratic_field(d)
+    x = qelem(K, a, b, den)
+    num_norm = int(abs(field_norm(qelem(K, x.num_a, x.num_b))))
+    want = [(P.label(), v) for p in sorted(factorize(num_norm * x.den))
+            for P in prime_ideals_above(K, p)
+            if (v := quad_valuation(x, P)) != 0]
+    assert [(P.label(), v) for P, v in ideal_factors(x)] == want
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from quadrec import search
 from quadrec.errors import CheckpointError, InvariantBreachError, UsageError
-from quadrec.ring import as_element, prime_ideals_above, quadratic_field
+from quadrec.ring import as_element, prime_ideals_above, qelem, quadratic_field
 from quadrec.search import (
     SearchPredicate,
     iter_primes,
@@ -18,6 +18,8 @@ from quadrec.search import (
     wall_predicate,
     wieferich_predicate,
 )
+
+K5 = quadratic_field(5)
 
 
 def test_iter_primes_matches_sieve():
@@ -111,6 +113,61 @@ def test_wall_predicate_flags_a_screen_that_wall_contradicts(monkeypatch):
         pred.test(7)
 
 
+@settings(max_examples=25)
+@given(st.sampled_from((5, 13, -3, 2, 3, -1, 17, -7, 10)),
+       st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40))
+@example(5, 0, 1, 1)     # (1+sqrt 5)/2
+@example(5, 2, 0, 1)     # 2 in Q(sqrt 5): hits at 1093i and 3511a, 3511b
+@example(2, 1, 1, 1)     # 1+sqrt 2, hits at 13 and 31
+@example(-1, 1, 1, 1)    # 1+i, hits at 1093 and 3511
+@example(-3, 0, 1, 1)    # a sixth root of unity: every prime is a hit
+@example(13, 1, 2, 3)    # (2+sqrt 13)/3: 3a and 3b cancel in the norm
+@example(5, 1, 2, 3)     # (1+2w)/3 = (2+sqrt 5)/3
+@example(17, 3, 1, 2)    # 2 splits in Q(sqrt 17)
+def test_quadratic_hits_match_the_ideal_route_at_every_p(d, a, b, den):
+    # the predicate screens good primes; the rule it must match takes the
+    # Fermat quotient at every admissible ideal of every p, bad or good
+    assume(a or b)
+    g = qelem(quadratic_field(d), a, b, den)
+    got = search_range(wieferich_predicate(g, d), 2, 5000).hits
+    want = [hit for p in oracles.primes_below(5000)
+            if (hit := _hit_by_valuation(g, p)) is not None]
+    assert got == want
+
+
+@pytest.mark.parametrize("base, d, seen", [
+    (qelem(K5, 0, 1), 5, ["2i"]),
+    (qelem(quadratic_field(2), 1, 1), 2, ["13i", "31a", "31b"]),
+], ids=["phi", "one-plus-sqrt-2"])
+def test_quotients_run_only_at_bad_and_screened_primes(monkeypatch, base, d,
+                                                       seen):
+    # phi: 2 is its one bad prime with an admissible ideal (5 ramifies),
+    # and no good prime passes the screen.  1+sqrt 2: 2 ramifies, and the
+    # screen passes exactly the hits 13 and 31.
+    calls = []
+    real = search.fermat_quotient_residue
+    monkeypatch.setattr(search, "fermat_quotient_residue",
+                        lambda g, P: calls.append(P.label()) or real(g, P))
+    search_range(wieferich_predicate(base, d), 2, 3000)
+    assert calls == seen
+
+
+def test_wieferich_predicate_flags_a_screen_the_ideals_contradict(monkeypatch):
+    monkeypatch.setattr(search, "lucas_screen", lambda *args: True)
+    pred = wieferich_predicate(qelem(K5, 0, 1), 5)
+    assert pred.test(2) is None and pred.test(5) is None  # bad: no screen
+    with pytest.raises(InvariantBreachError, match="p=3 passes"):
+        pred.test(3)
+
+
+def test_verify_takes_the_ideal_route_alone(monkeypatch):
+    pred = wieferich_predicate(qelem(quadratic_field(2), 1, 1), 2)
+    hit = pred.test(13)
+    monkeypatch.setattr(search, "lucas_screen", lambda *args: False)
+    assert pred.test(13) is None
+    assert pred.verify(hit) is True
+
+
 @settings(max_examples=30)
 @given(st.integers(-60, 60).filter(bool), st.integers(1, 60))
 @example(1, 1)
@@ -131,9 +188,6 @@ def test_rational_base_hits_match_the_ideal_route_and_plain_pow(a, b):
     by_pow = [{"p": p, "ideals": [str(p)], "aggregate": True} for p in
               oracles.rational_wieferich_primes(g.numerator, g.denominator, 5000)]
     assert got == by_ideal == by_pow
-
-
-K5 = quadratic_field(5)
 
 
 @pytest.mark.parametrize("base, d, hit", [
@@ -177,7 +231,11 @@ def test_resume_rejects_a_stored_hit_at_a_composite_p(tmp_path):
     (lambda: wieferich_predicate(Fraction(-3, 7)), 5000,
      "9896a422669c6dbb", "58ab565e315d149c"),
     (wall_predicate, 5000, "1523644665af2ee7", "e39201ddda3913a3"),
-], ids=["base-2", "base-minus-3-over-7", "wall"])
+    (lambda: wieferich_predicate(qelem(K5, 0, 1), 5), 20000,
+     "105453c8bd995207", "5bdcc1331d1e2930"),
+    (lambda: wieferich_predicate(qelem(quadratic_field(-1), 1, 1), -1), 5000,
+     "c1684321189e56b6", "399eb09f84f96aa1"),
+], ids=["base-2", "base-minus-3-over-7", "wall", "phi", "one-plus-i"])
 def test_config_hash_and_checkpoint_bytes_are_pinned(tmp_path, make, hi,
                                                      config_hash, digest):
     # checkpoint files as the ideal route wrote them, byte for byte

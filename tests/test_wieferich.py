@@ -17,6 +17,7 @@ from quadrec.wieferich import (
     fermat_quotient_residue,
     is_alpha_wieferich,
     is_x_fw_prime,
+    lucas_screen,
     wall_period_test,
     wss_divisibility_test,
     wss_screen,
@@ -183,6 +184,15 @@ def test_wss_screen_agrees_with_both_detectors():
         if p < 7:
             continue
         assert wss_screen(p) == wall_period_test(p).equal == wss_divisibility_test(p), p
+
+
+def test_lucas_screen_for_phi_is_the_wss_screen():
+    # phi = (1+sqrt 5)/2 is a unit of norm -1, so it is Wieferich at an
+    # ideal above p exactly when p^2 | F_(p-(5/p)): the Lucas chain mod p^3
+    # on (trace, norm) = (1, -1) and the Fibonacci chain mod p^2 must agree
+    for p in oracles.primes_below(10 ** 5):
+        if p not in (2, 5):
+            assert lucas_screen(p, 1, -1, 1, 5) == wss_screen(p), p
 
 
 @pytest.mark.parametrize("p", [2, 5])
