@@ -1,10 +1,10 @@
 """Multiplicative group structure of recurrence roots, prime-counting
 heuristics, and the companion-matrix view of a recurrence.
 
-Rank computations are exact: the valuation matrix is integral, its kernel is
-computed over the rationals, and every claimed torsion relation is verified
-by evaluating the corresponding product in the field.  Floating point enters
-only to GUESS a recombination, never to certify one.
+Rank computations are exact and use no float: the valuation matrix is
+integral, its kernel is computed over the rationals, a unit's exponent
+against the fundamental unit is read off exact comparisons, and every
+claimed torsion relation is verified by evaluating its product in the field.
 """
 from __future__ import annotations
 
@@ -14,14 +14,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantBreachError, ResourceLimitError, UsageError
-from .heights import _infinite_places, _valuation_rows
+from .heights import _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, initial_terms,
                       period_formula)
-from .ring import (QuadraticElement, _prime_ideals_above, as_element,
-                   as_elements, is_torsion, iter_primes)
+from .ring import (QuadraticElement, QuadraticField, _prime_ideals_above,
+                   as_element, as_elements, is_torsion, iter_primes)
 
-EXPONENT_CLAMP = 64  # largest |e_i| we will raise a generator to
+PRODUCT_BITS = 1 << 22  # largest sum_i |e_i| * bits(g_i) of a product we form
 
 
 @dataclass(frozen=True)
@@ -69,23 +69,54 @@ def _nullspace(columns: list[list[int]], m: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _clamped_product(gens: Sequence[QuadraticElement],
-                     vec: Sequence[int]) -> QuadraticElement:
-    if max(abs(e) for e in vec) > EXPONENT_CLAMP:
-        raise ResourceLimitError(
-            f"kernel vector {tuple(vec)} exceeds the exponent clamp "
-            f"{EXPONENT_CLAMP}")
-    out = as_element(1, gens[0].field)
-    for g, e in zip(gens, vec):
-        if e:
-            out = out * g ** e
-    return out
+def _product(gens: Sequence[QuadraticElement],
+             vec: Sequence[int]) -> QuadraticElement:
+    size = sum(abs(e) * (g.num_a.bit_length() + g.num_b.bit_length()
+                         + g.den.bit_length()) for g, e in zip(gens, vec))
+    if size > PRODUCT_BITS:
+        raise ResourceLimitError(f"kernel vector {tuple(vec)} asks for a product "
+                                 f"of {size} bits, past the bound {PRODUCT_BITS}")
+    return math.prod((g ** e for g, e in zip(gens, vec) if e),
+                     start=as_element(1, gens[0].field))
 
 
-def _archimedean_log(x: QuadraticElement) -> float:
-    """log of the first infinite place value; nonzero iff a unit is
-    non-torsion (degree <= 2)."""
-    return float(_infinite_places(x)[0].log_value())
+def _fundamental_unit(f: QuadraticField) -> QuadraticElement:
+    """The unit eps > 1 of a real field that generates its units up to sign:
+    h - g*omega', from the first convergent h/g of omega's continued fraction
+    with N(h - g*omega) = +-1 (Cohen, GTM 138, 5.7)."""
+    t, n, r = f.omega_trace, f.omega_norm, math.isqrt(f.disc)
+    P, Q = t, 2  # omega = (P + sqrt(disc))/Q
+    h, h0, g, g0 = 1, 0, 0, 1
+    while True:
+        a = (P + r) // Q
+        h, h0, g, g0 = a * h + h0, h, a * g + g0, g
+        if abs(h * h - t * h * g + n * g * g) == 1:
+            return QuadraticElement(f, h - g * t, g, 1)
+        P = a * Q - P
+        Q = (f.disc - P * P) // Q
+
+
+def _unit_exponent(u: QuadraticElement) -> int:
+    """k with u = +-eps^k for eps the fundamental unit of a real field, read
+    bit by bit off exact comparisons with eps^(2^i); 0 for torsion u.  In Q
+    and imaginary fields, whose units are all torsion, any other u raises."""
+    if is_torsion(u):
+        return 0
+    k, sign, f, rem = 0, 1, u.field, u
+    if f is not None and f.d > 0:
+        def big(x):  # |x| >= 1 for a unit x = s + t*sqrt(d) iff s*t >= 0
+            return (2 * x.num_a + x.num_b * f.omega_trace) * x.num_b >= 0
+        sign = 1 if big(u) else -1
+        rem, powers = u ** sign, [_fundamental_unit(f)]
+        while big(rem / powers[-1]):
+            powers.append(powers[-1] ** 2)
+        for power in reversed(powers):
+            r = rem / power
+            k, rem = (2 * k + 1, r) if big(r) else (2 * k, rem)
+    if not is_torsion(rem):
+        raise InvariantBreachError(f"kernel product {u} is not a power of the "
+                                   f"fundamental unit: the support missed a prime")
+    return sign * k
 
 
 def _coerce_generators(a):
@@ -100,9 +131,10 @@ def _coerce_generators(a):
 def multiplicative_rank(a) -> MultiplicativeGroupReport:
     """Exact free rank of the group generated by a, with full bookkeeping.
 
-    Kernel vectors of the valuation matrix give unit-valued products; each is
-    either verified torsion or recombined (in a real field, where the unit
-    rank is one) until the torsion relations span everything they can.
+    Each kernel vector v of the valuation matrix gives a unit +-eps^k_v.
+    The units have free rank at most one, so the v of largest |k_v| is kept
+    and every other non-torsion v gives the relation
+    (k_keep*v - k_v*keep)/gcd, verified torsion by evaluating its product.
     """
     gens = _coerce_generators(a)
     m = len(gens)
@@ -112,44 +144,25 @@ def multiplicative_rank(a) -> MultiplicativeGroupReport:
     matrix = tuple(zip(*columns)) if columns else ((),) * m
     basis = _nullspace(columns, m)
 
-    torsion, nontorsion = [], []
-    for vec in basis:
-        prod = _clamped_product(gens, vec)
-        (torsion if is_torsion(prod) else nontorsion).append(vec)
-
-    if len(nontorsion) > 1:
-        # the unit group has free rank one here, so all of these are powers
-        # of a single unit; recombine pairwise down to one representative
-        logs = [_archimedean_log(_clamped_product(gens, v)) for v in nontorsion]
-        j = max(range(len(nontorsion)), key=lambda i: abs(logs[i]))
-        if logs[j] == 0:
-            raise InvariantBreachError(
-                f"non-torsion kernel vector {nontorsion[j]} has a zero log")
-        keep = nontorsion[j]
-        recombined = [keep]
-        for i, vec in enumerate(nontorsion):
-            if i == j:
+    exps = [_unit_exponent(_product(gens, vec)) for vec in basis]
+    torsion = [vec for vec, k in zip(basis, exps) if not k]
+    free = [(k, vec) for vec, k in zip(basis, exps) if k]
+    if free:
+        kj, keep = max(free, key=lambda kv: abs(kv[0]))  # the first on a tie
+        for ki, vec in free:
+            if vec == keep:
                 continue
-            ratio = Fraction(logs[i] / logs[j]).limit_denominator(EXPONENT_CLAMP)
-            w = tuple(ratio.denominator * x - ratio.numerator * y
-                      for x, y in zip(vec, keep))
-            cand = _clamped_product(gens, w)
-            if not is_torsion(cand):
-                raise ResourceLimitError(
-                    f"recombination of {vec} against {keep} is not torsion "
-                    f"within the exponent clamp")
+            g = math.gcd(ki, kj) if kj > 0 else -math.gcd(ki, kj)
+            w = tuple((kj * x - ki * y) // g for x, y in zip(vec, keep))
+            if not is_torsion(_product(gens, w)):
+                raise InvariantBreachError(f"relation {w} is not torsion")
             torsion.append(w)
-        nontorsion = recombined
-
-    kernel = tuple(nontorsion) + tuple(torsion)
+        free = [(kj, keep)]
+    kernel = tuple(vec for _, vec in free) + tuple(torsion)
     return MultiplicativeGroupReport(
-        generators=tuple(str(g) for g in gens),
-        support_primes=tuple(labels),
-        valuation_matrix=matrix,
-        kernel_basis=kernel,
-        torsion_relations=tuple(torsion),
-        free_rank=m - len(torsion),
-    )
+        generators=tuple(str(g) for g in gens), support_primes=tuple(labels),
+        valuation_matrix=matrix, kernel_basis=kernel,
+        torsion_relations=tuple(torsion), free_rank=m - len(torsion))
 
 
 def expected_count(a, Y: int) -> float:

@@ -101,28 +101,26 @@ def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
     Lucas chain mod p^3; delta = a + b*w is integral, with integer trace and
     norm, in the field of discriminant disc.
 
-    p must be odd and divide none of den, disc and norm.  Let A and B be the
-    conjugate images of delta^k and c the value that gamma's verdict asks of
-    them mod p^2: k = p - 1 and c = den^(p-1) at split p, k = p + 1 and
-    c = norm^p * den^(1-p) at inert p.  Both images are c mod p, so
-    (c - A)(c - B) = c^2 - c*V_k + norm^k is p^2 times a product, which p
-    divides exactly when A or B is c mod p^2.  V_k = A + B is the Lucas
-    sequence of (trace, norm) (Lehmer, Ann. Math. 31 (1930)).
+    p must be odd and divide none of den, disc and norm.  eps = delta/delta'
+    has norm 1 and trace S = (trace^2 - 2*norm)/norm.  Let k = p - (disc/p)
+    and c = (den^2/norm)^(p-1): gamma is Wieferich at an ideal above p
+    exactly when eps^k is c mod p^2 there.  Both conjugates of eps^k are
+    c mod p, so (c - eps^k)(c - eps^-k) = c^2 - c*V_k + 1 is p^2 times a
+    product, which p divides exactly when one of them is c mod p^2.
+    V_k = eps^k + eps^-k is the Lucas sequence of (S, 1) (Lehmer, Ann.
+    Math. 31 (1930)).
     """
     m = p ** 3
-    if kronecker(disc, p) == 1:
-        k, c = p - 1, pow(den, p - 1, m)
-    else:
-        k, c = p + 1, pow(norm, p, m) * pow(den, 1 - p, m) % m
-    v0, v1, q = 2, trace, 1  # V_j, V_(j+1) and norm^j, from j = 0
-    for bit in bin(k)[2:]:
+    inv = pow(norm, -1, m)
+    s = (trace * trace - 2 * norm) * inv % m
+    c = pow(den * den * inv, p - 1, m)
+    v0, v1 = 2, s  # V_j and V_(j+1), from j = 0
+    for bit in bin(p - kronecker(disc, p))[2:]:
         if bit == "1":  # j -> 2j + 1
-            v0, v1 = (v0 * v1 - trace * q) % m, (v1 * v1 - 2 * norm * q) % m
-            q = q * q * norm % m
+            v0, v1 = (v0 * v1 - s) % m, (v1 * v1 - 2) % m
         else:           # j -> 2j
-            v0, v1 = (v0 * v0 - 2 * q) % m, (v0 * v1 - trace * q) % m
-            q = q * q % m
-    return (c * c - c * v0 + q) % m == 0
+            v0, v1 = (v0 * v0 - 2) % m, (v0 * v1 - s) % m
+    return (c * c - c * v0 + 1) % m == 0
 
 
 def _mat_mul2(A, B, m):

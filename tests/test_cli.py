@@ -526,6 +526,32 @@ def test_rank_units(capsys):
     assert doc["generators"] == ["(1+sqrt(5))/2", "(1-sqrt(5))/2"]
 
 
+def test_rank_of_three_powers_of_phi(capsys):
+    # phi, phi^3 and phi^5: the output the float recombination printed
+    code, out, _ = run_cli(capsys, "rank", "--gen", "(1+sqrt(5))/2",
+                           "--gen", "2+sqrt(5)", "--gen", "(11+5*sqrt(5))/2")
+    assert code == 0
+    assert out == (
+        '{"free_rank":"1","generators":["(1+sqrt(5))/2","2+sqrt(5)",'
+        '"(11+5*sqrt(5))/2"],"kernel_basis":[["0","0","1"],["5","0","-1"],'
+        '["0","5","-3"]],"support_primes":[],"torsion_relations":'
+        '[["5","0","-1"],["0","5","-3"]],"valuation_matrix":[[],[],[]]}\n')
+
+
+def test_rank_and_heuristic_take_exponents_past_64(capsys):
+    # 2^70 and 8 meet in the relation 8^70 = (2^70)^3; both commands used to
+    # exit 5 on the kernel vector (3, -70)
+    gens = ["--gen", str(2 ** 70), "--gen", "8"]
+    code, out, _ = run_cli(capsys, "rank", *gens)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["free_rank"] == "1"
+    assert doc["torsion_relations"] == [["3", "-70"]]
+    code, out, _ = run_cli(capsys, "heuristic", *gens, "--bound", "100")
+    assert code == 0
+    assert out == run_cli(capsys, "heuristic", "--gen", "2", "--bound", "100")[1]
+
+
 def test_heuristic_decades(capsys):
     code, out, _ = run_cli(capsys, "heuristic", "--gen", "2",
                            "--bound", "1000")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.dynamics import (
+    _fundamental_unit,
     companion_system,
     eigen_consistency,
     expected_count,
@@ -22,7 +25,9 @@ from quadrec.ring import (as_element, field_norm, ideal_factors, is_prime,
                           is_torsion, prime_ideals_above, qelem,
                           quadratic_field, sqrt_element)
 
+K2 = quadratic_field(2)
 K5 = quadratic_field(5)
+KI = quadratic_field(-1)
 PHI = qelem(K5, 0, 1)
 TOL = 1e-12
 
@@ -75,12 +80,109 @@ def test_rank_torsion_relations_verify():
         assert r.free_rank == len(gens) - len(r.torsion_relations)
 
 
-def test_rank_exponent_clamp():
-    with pytest.raises(ResourceLimitError) as info:
-        multiplicative_rank([2, 2 ** 65])
-    assert "65" in str(info.value)
-    # the boundary itself is allowed
+def test_rank_product_size_bound():
+    # (4000, -4001) asks for a product of about 3.2e7 bits: refused unformed
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="past the bound"):
+        multiplicative_rank([2 ** 4001, 2 ** 4000])
+    assert time.perf_counter() - start < 1
     assert multiplicative_rank([2 ** 64, 2 ** 63]).free_rank == 1
+
+
+def test_rank_takes_exponents_past_64():
+    r = multiplicative_rank([2 ** 70, 8])
+    assert (r.free_rank, r.torsion_relations) == (1, ((3, -70),))
+    # two powers of phi whose exponent ratio 3/100 no small fraction meets
+    r = multiplicative_rank([PHI ** 100, PHI ** 3])
+    assert (r.free_rank, r.torsion_relations) == (1, ((-3, 100),))
+    assert r.kernel_basis == ((1, 0), (-3, 100))
+
+
+@pytest.mark.parametrize("d, want", [
+    (2, (1, 1)), (3, (2, 1)), (5, (0, 1)), (6, (5, 2)), (7, (8, 3)),
+    (13, (1, 1)), (61, (17, 5)), (94, (2143295, 221064)), (109, (118, 25)),
+    (181, (604, 97))])
+def test_fundamental_unit_table(d, want):
+    # e.g. d = 61: 17 + 5*w = (39 + 5*sqrt(61))/2
+    eps = _fundamental_unit(quadratic_field(d))
+    assert (eps.num_a, eps.num_b, eps.den) == (*want, 1)
+
+
+def _smallest_unit(d):
+    """(x + y*sqrt(d))/2 > 1 with x^2 - d*y^2 = +-4 and the least y >= 1, on
+    the (1, w) basis; x and y are even unless d = 1 mod 4."""
+    step = 1 if d % 4 == 1 else 2
+    for y in itertools.count(step, step):
+        for s in (-4, 4):
+            x = math.isqrt(d * y * y + s)
+            if x * x == d * y * y + s and x % step == 0:
+                return ((x - y) // 2, y) if d % 4 == 1 else (x // 2, y // 2)
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 60)
+                               if all(d % (q * q) for q in (2, 3, 5, 7))])
+def test_fundamental_unit_is_the_smallest_unit(d):
+    eps = _fundamental_unit(quadratic_field(d))
+    assert (eps.num_a, eps.num_b) == _smallest_unit(d)
+
+
+# a unit of infinite order in each real field, a root of unity elsewhere
+ATOM_UNITS = [(None, as_element(-1)), (K2, qelem(K2, 1, 1)), (K5, PHI),
+              (KI, qelem(KI, 0, 1))]
+
+
+@st.composite
+def _group_by_construction(draw):
+    """Generators prod_j p_j^E[i][j] * u^E[i][-1] over 2-3 primes p_j and
+    the field's unit u, with exponents up to 500, and the matrix E.
+
+    Every kernel product gets formed, so E keeps them inside the size
+    bound: of the primes that two generators share, at most one carries a
+    unit factor, and then no generator is a pure power of u.
+    """
+    field, unit = draw(st.sampled_from(ATOM_UNITS))
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=2,
+                           max_size=3, unique=True))
+    exponent = st.integers(-500, 500).filter(bool)
+    mixed = pair_left = draw(st.booleans())
+    rows = []
+    for j in range(len(primes)):
+        n = draw(st.integers(1 if j == 0 else 0, 2))
+        for i in range(n):
+            row = [0] * (len(primes) + 1)
+            row[j] = draw(exponent)
+            if n == 1 or (i == 1 and pair_left):
+                row[-1] = draw(st.integers(-500, 500))
+                pair_left = pair_left and n == 1
+            rows.append(row)
+    if not mixed:
+        rows += [[0] * len(primes) + [draw(exponent)]
+                 for _ in range(draw(st.integers(0, 3)))]
+    rows = draw(st.permutations(rows))
+    gens = []
+    for row in rows:
+        g = unit ** row[-1]
+        for p, e in zip(primes, row):
+            g = g * as_element(p, field) ** e
+        gens.append(g)
+    return gens, rows
+
+
+@given(_group_by_construction())
+@settings(max_examples=60)
+def test_rank_is_the_rank_of_the_exponent_matrix(case):
+    import sympy
+    gens, rows = case
+    field = gens[0].field
+    if field is None or field.d < 0:  # u is torsion: its column drops out
+        rows = [row[:-1] for row in rows]
+    r = multiplicative_rank(gens)
+    assert r.free_rank == sympy.Matrix(rows).rank()
+    for vec in r.torsion_relations:
+        prod = as_element(1, field)
+        for g, e in zip(gens, vec):
+            prod = prod * g ** e
+        assert is_torsion(prod)
 
 
 def test_rank_rejects_bad_input():
@@ -263,12 +365,16 @@ def test_matrix_power_demands_a_positive_exponent():
     assert _mat_pow((0, 0, 7), M, 16) == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
 
 
-def test_rank_recombination_rejects_a_zero_log(monkeypatch):
+@pytest.mark.parametrize("gen", [as_element(2), qelem(KI, 1, 1),
+                                 as_element(2, K5)],
+                         ids=["2", "1+i", "2 in Q(sqrt5)"])
+def test_rank_rejects_a_kernel_product_outside_the_units(monkeypatch, gen):
     import quadrec.dynamics as mod
-    # PHI^2 and PHI^3 are two non-torsion kernel vectors, so they recombine
-    monkeypatch.setattr(mod, "_archimedean_log", lambda x: 0.0)
-    with pytest.raises(InvariantBreachError):
-        multiplicative_rank([PHI ** 2, PHI ** 3])
+    # with the support dropped, the generator is a kernel vector whose
+    # product is not a unit: in Q and Q(i) not torsion, in Q(sqrt5) no +-eps^k
+    monkeypatch.setattr(mod, "_valuation_rows", lambda gens: [])
+    with pytest.raises(InvariantBreachError, match="support missed a prime"):
+        multiplicative_rank([gen])
 
 
 def test_orbit_budget():

@@ -12,7 +12,9 @@ quadratic base's hits.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
 An element carries its field, so outside ring.py no function takes a field
 as a defaulted `field` parameter, and heights run at one fixed precision, so
-no function takes a `precision` option at all.
+no function takes a `precision` option at all.  The free rank of a group is
+exact, so `multiplicative_rank` and its helpers name no log, float, rational
+approximation or archimedean place.
 """
 import ast
 import pathlib
@@ -92,6 +94,21 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
                   for f, names in _mentions(wieferich, SCREENS).items()})
     leaks = {f: names for f, names in leaks.items() if names}
     assert leaks == {}, f"formula side names the oracle: {leaks}"
+
+
+RANK_PATH = {"dynamics.py": ("multiplicative_rank", "_coerce_generators",
+                             "_nullspace", "_product", "_unit_exponent",
+                             "_fundamental_unit"),
+             "heights.py": ("_valuation_rows",)}
+INEXACT = {"log", "float", "limit_denominator", "_infinite_places"}
+
+
+def test_the_rank_path_names_nothing_inexact(src: pathlib.Path = SRC):
+    leaks = {f: sorted(names & INEXACT)
+             for module, funcs in RANK_PATH.items()
+             for f, names in _mentions(_tree(src / module), funcs).items()}
+    leaks = {f: names for f, names in leaks.items() if names}
+    assert leaks == {}, f"the rank path names inexact arithmetic: {leaks}"
 
 
 # option name -> the modules whose functions may still take it with a default
@@ -180,6 +197,20 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "'wss_screen': ['wss_divisibility_test'], "
             "'lucas_screen': ['fermat_quotient_residue']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
+    (tmp_path / "dynamics.py").write_text(
+        "def multiplicative_rank(x):\n    return float(x)\n"
+        "def _unit_exponent(x):\n    return _infinite_places(x)\n" + "".join(
+            f"def {f}(x):\n    return x\n" for f in RANK_PATH["dynamics.py"]
+            if f not in ("multiplicative_rank", "_unit_exponent")),
+        encoding="utf-8")
+    (tmp_path / "heights.py").write_text(
+        "import math\ndef _valuation_rows(x):\n    return math.log(x)\n",
+        encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "{'multiplicative_rank': ['float'], "
+            "'_unit_exponent': ['_infinite_places'], "
+            "'_valuation_rows': ['log']}")):
+        test_the_rank_path_names_nothing_inexact(tmp_path)
     (tmp_path / "ring.py").write_text(
         "def as_element(v, field=None):\n    return v\n"
         "def log_norm(x, precision=128):\n    return x\n", encoding="utf-8")
