@@ -16,8 +16,7 @@ from typing import Sequence
 from .errors import InvariantBreachError, ResourceLimitError, UsageError
 from .heights import _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
-                      char_coefficients, ideal_factorization, initial_terms,
-                      period_formula)
+                      char_coefficients, ideal_factorization, period_formula)
 from .ring import (QuadraticElement, QuadraticField, _prime_ideals_above,
                    as_element, as_elements, is_torsion, iter_primes)
 
@@ -201,27 +200,6 @@ def expected_counts(a, Ys: Sequence[int]) -> list[float]:
 # companion matrices
 
 
-@dataclass(frozen=True)
-class CompanionSystem:
-    source: RecurrenceTuple
-    coefficients: tuple[QuadraticElement, ...]  # c_0 .. c_{m-1}
-    matrix: tuple[tuple[QuadraticElement, ...], ...]
-    q0: tuple[QuadraticElement, ...]
-
-
-def companion_system(t: RecurrenceTuple) -> CompanionSystem:
-    """Companion matrix M and initial state q0 with q_{k+1} = M q_k."""
-    cs = char_coefficients(t)
-    m = len(cs)
-    f = t.field()
-    zero, one = as_element(0, f), as_element(1, f)
-    rows = []
-    for i in range(m - 1):
-        rows.append(tuple(one if j == i + 1 else zero for j in range(m)))
-    rows.append(tuple(cs))
-    return CompanionSystem(t, tuple(cs), tuple(rows), initial_terms(t))
-
-
 def _mat_vec(ring, M, q):
     """M q over pairs with ring = (t, n, mod), each entry summed on the pairs
     and reduced once at the end."""
@@ -234,7 +212,7 @@ def _mat_vec(ring, M, q):
             u += a * c - nm * bd
             v += a * d + b * c + tr * bd
         out.append((u % mod, v % mod))
-    return tuple(out)
+    return out
 
 
 def _mat_mul(ring, A, B):
@@ -242,37 +220,26 @@ def _mat_mul(ring, A, B):
     return tuple(zip(*(_mat_vec(ring, A, col) for col in zip(*B))))
 
 
-def _mat_pow(ring, M, k):
-    if k < 1:
-        raise InvariantBreachError(f"matrix power exponent {k} is below 1")
-    result = None
-    acc = M
-    while k:
-        if k & 1:
-            result = acc if result is None else _mat_mul(ring, result, acc)
-        k >>= 1
-        if k:
-            acc = _mat_mul(ring, acc, acc)
-    return result
+def orbit_period(t: RecurrenceTuple, modulus) -> int:
+    """Smallest k >= 1 with M^k q0 = q0, for M the companion matrix of t and
+    q0 its start state: the first return of the oracle's state loop, then
+    confirmed by applying the binary powers of M to q0.
 
-
-def orbit_period(sys: CompanionSystem, modulus,
-                 budget: int = 10 ** 7) -> int:
-    """Smallest k >= 1 with M^k q0 = q0, by iteration, then confirmed by an
-    independent binary matrix power.
-
-    M is a companion matrix, so M q shifts the state and appends the
-    recurrence step: the iteration is the state loop of the period oracle.
+    M q shifts the state and appends the recurrence step, so the last row of
+    M is the embedded coefficients and every other row a shift.
     """
-    if modulus == 1:
-        return 1
-    embed, ring = _pair_embedding(sys.source.field(), modulus,
-                                  sys.coefficients[0])
-    M = tuple(tuple(embed(x) for x in row) for row in sys.matrix)
-    q0 = tuple(embed(x) for x in sys.q0)
-    k = _state_period(list(M[-1]), list(q0), *ring, budget)
-    Mk = _mat_pow(ring, M, k)
-    if _mat_vec(ring, Mk, q0) != q0:
+    cs, q0, ring = _pair_embedding(t, modulus)
+    k = _state_period(cs, q0, *ring)
+    M = [[(1, 0) if j == i + 1 else (0, 0) for j in range(len(cs))]
+         for i in range(len(cs) - 1)] + [cs]
+    q, e = q0, k
+    while e:
+        if e & 1:
+            q = _mat_vec(ring, M, q)
+        e >>= 1
+        if e:
+            M = _mat_mul(ring, M, M)
+    if q != q0:
         raise InvariantBreachError("orbit return failed the matrix-power check")
     return k
 
@@ -280,11 +247,10 @@ def orbit_period(sys: CompanionSystem, modulus,
 def eigen_consistency(t: RecurrenceTuple, modulus) -> dict:
     """Cross-validate the companion orbit against the order formula, and the
     characteristic polynomial against the root factorization."""
-    sys = companion_system(t)
-    m = len(sys.coefficients)
+    cs = char_coefficients(t)
     for a in t.a:
-        val = a ** m
-        for j, c in enumerate(sys.coefficients):
+        val = a ** len(cs)
+        for j, c in enumerate(cs):
             val = val - c * a ** j
         if not val.is_zero():
             raise InvariantBreachError(
@@ -292,7 +258,7 @@ def eigen_consistency(t: RecurrenceTuple, modulus) -> dict:
     fac = ideal_factorization(t.field(), modulus) \
         if isinstance(modulus, int) else [modulus]
     formula = period_formula(t, fac)
-    orbit = orbit_period(sys, modulus)
+    orbit = orbit_period(t, modulus)
     if orbit != formula.period:
         raise InvariantBreachError(
             f"orbit period {orbit} != formula period {formula.period} "

@@ -64,13 +64,15 @@ def _infinite_places(g: QuadraticElement) -> list[PlaceValue]:
         if f.d < 0:
             # one complex place; the square of the modulus is the norm
             return [PlaceValue("infinite", field_norm(g), weight=2)]
-        s = mpmath.sqrt(f.disc)
-        out = []
-        for i, sgn in enumerate((1, -1)):
-            omega = (f.omega_trace + sgn * s) / 2
-            val = abs((g.num_a + g.num_b * omega) / g.den)
-            out.append(PlaceValue("infinite", val, embedding=i))
-        return out
+        # sigma_+-(g) = (A +- b*sqrt(disc))/(2*den) with A = 2a + t*b: the
+        # conjugate whose terms share a sign is summed, with no cancellation,
+        # and the other is |N(g)| divided by it
+        A, b = 2 * g.num_a + f.omega_trace * g.num_b, g.num_b
+        big = (abs(A) + abs(b) * mpmath.sqrt(f.disc)) / (2 * g.den)
+        nrm = abs(field_norm(g))
+        small = mpmath.mpf(nrm.numerator) / nrm.denominator / big
+        vals = (big, small) if A * b >= 0 else (small, big)
+        return [PlaceValue("infinite", v, embedding=i) for i, v in enumerate(vals)]
 
 
 def local_values(x) -> list[PlaceValue]:

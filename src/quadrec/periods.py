@@ -259,40 +259,40 @@ def _to_pair(x: QuadraticElement, mod: int) -> tuple[int, int]:
     return x.num_a * dinv % mod, x.num_b * dinv % mod
 
 
-def _pair_embedding(field: Optional[QuadraticField], m: Modulus,
-                    c0: QuadraticElement):
-    """(embed, (t, n, mod)): elements as pairs (u, v) = u + v*w of plain ints
-    mod `mod`, with w^2 = t*w - n.
+def _pair_embedding(t: RecurrenceTuple, m: Modulus):
+    """(cs, xs, (trace, norm, mod)): the recurrence coefficients c_i and the
+    start state x_0, x_1, .. of t as pairs (u, v) = u + v*w of plain ints mod
+    `mod`, with w^2 = trace*w - norm.
 
     An integer modulus m is Z[w]/m, entered through _to_pair.  A prime power
     (P, e) is entered through reduce(), whose residues are pairs mod p^e as
     well (v = 0 except on inert rings), so both kinds share one arithmetic;
-    there t and n come from P's field, since a rational tuple may be reduced
-    at an ideal of Q(sqrt(d)).
-    The constant recurrence coefficient c0 must be a unit, or the state map
-    (a companion matrix of determinant +-c0) has no purely periodic orbit.
-    embed hands back the residue of that unit check when given c0 itself.
+    there trace and norm come from P's field, since a rational tuple may be
+    reduced at an ideal of Q(sqrt(d)).
+    The constant coefficient c_0 must be a unit, or the state map (a
+    companion matrix of determinant +-c_0) has no purely periodic orbit: its
+    norm u^2 + trace*u*v + norm*v^2 must be prime to mod.
     """
     if isinstance(m, tuple):
         P, e = m
-        r0 = reduce(c0, m)
-        if not r0.is_unit():
-            raise DegenerateInputError(
-                f"constant coefficient not a unit mod {P.label()}^{e}")
+        fld, mod, label = P.field, P.p ** e, f"{P.label()}^{e}"
 
         def embed(x):
-            r = r0 if x is c0 else reduce(x, m)
+            r = reduce(x, m)
             return r.u, r.v
-        fld = P.field
-        t, n = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
-        return embed, (t, n, P.p ** e)
-    if m < 1:
-        raise UsageError("modulus must be a positive integer")
-    t, n = (field.omega_trace, field.omega_norm) if field is not None else (0, 0)
-    u, v = _to_pair(c0, m)
-    if math.gcd(u * u + t * u * v + n * v * v, m) != 1:  # the norm of c0
-        raise DegenerateInputError(f"constant coefficient not a unit mod {m}")
-    return (lambda x: _to_pair(x, m)), (t, n, m)
+    else:
+        if m < 1:
+            raise UsageError("modulus must be a positive integer")
+        fld, mod, label = t.field(), m, m
+
+        def embed(x):
+            return _to_pair(x, m)
+    tr, nm = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
+    cs = [embed(c) for c in char_coefficients(t)]
+    u, v = cs[0]
+    if math.gcd(u * u + tr * u * v + nm * v * v, mod) != 1:
+        raise DegenerateInputError(f"constant coefficient not a unit mod {label}")
+    return cs, [embed(x) for x in initial_terms(t)], (tr, nm, mod)
 
 
 def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
@@ -302,13 +302,8 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     requires the constant recurrence coefficient to stay invertible so the
     orbit is purely periodic and first return equals minimal period.
     """
-    if m == 1:
-        return PeriodReport(1, (), "brute_force")
-    coeffs = char_coefficients(t)
-    embed, ring = _pair_embedding(t.field(), m, coeffs[0])
-    k = _state_period([embed(c) for c in coeffs],
-                      [embed(x) for x in initial_terms(t)], *ring)
-    return PeriodReport(k, (), "brute_force")
+    cs, xs, ring = _pair_embedding(t, m)
+    return PeriodReport(_state_period(cs, xs, *ring), (), "brute_force")
 
 
 # ---------------------------------------------------------------------------

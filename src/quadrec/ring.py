@@ -431,7 +431,7 @@ class QuadraticElement:
     den: int
 
     def __post_init__(self):
-        if (self.den <= 0 or math.gcd(self.num_a, self.num_b, self.den) != 1
+        if (self.den <= 0 or math.gcd(self.den, self.num_a, self.num_b) != 1
                 or (self.field is None and self.num_b != 0)):
             raise ValueError(f"unnormalized element ({self.num_a} + "
                              f"{self.num_b}*w)/{self.den}")
@@ -442,7 +442,7 @@ class QuadraticElement:
     def _make(field: Optional[QuadraticField], na: int, nb: int, den: int) -> "QuadraticElement":
         if den < 0:
             na, nb, den = -na, -nb, -den
-        g = math.gcd(math.gcd(abs(na), abs(nb)), den)
+        g = math.gcd(den, na, nb)  # den first: stops at a gcd of 1
         if g > 1:
             na, nb, den = na // g, nb // g, den // g
         return QuadraticElement(field, na, nb, den)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from quadrec.dynamics import (
     _fundamental_unit,
-    companion_system,
     eigen_consistency,
     expected_count,
     expected_counts,
@@ -263,52 +262,31 @@ def test_expected_counts_bit_identical_to_one_y_sums(gens):
     assert expected_counts(gens, []) == []
 
 
-def test_companion_fibonacci():
-    sys = companion_system(fibonacci_tuple())
-    assert [[str(x) for x in row] for row in sys.matrix] == [["0", "1"],
-                                                             ["1", "1"]]
-    assert [str(x) for x in sys.q0] == ["0", "1"]
-    assert [str(c) for c in sys.coefficients] == ["1", "1"]
-
-
-def test_companion_examples():
-    sys = companion_system(rational_tuple([2, 3], [1, 1]))
-    assert [[str(x) for x in row] for row in sys.matrix] == [["0", "1"],
-                                                             ["-6", "5"]]
-    assert [str(x) for x in sys.q0] == ["2", "5"]
-
-    sys = companion_system(rational_tuple([3], [2]))
-    assert [[str(x) for x in row] for row in sys.matrix] == [["3"]]
-    assert [str(x) for x in sys.q0] == ["2"]
-
-
 def test_orbit_period_values():
-    sys = companion_system(fibonacci_tuple())
-    assert orbit_period(sys, 7) == 16
-    assert orbit_period(sys, 11) == 10
-    assert orbit_period(sys, 1) == 1
+    t = fibonacci_tuple()
+    assert orbit_period(t, 7) == 16
+    assert orbit_period(t, 11) == 10
+    assert orbit_period(t, 1) == 1
     P11 = prime_ideals_above(K5, 11)[0]
-    assert orbit_period(sys, (P11, 1)) == 10
+    assert orbit_period(t, (P11, 1)) == 10
     P2 = prime_ideals_above(K5, 2)[0]
-    assert orbit_period(sys, (P2, 2)) == 6
+    assert orbit_period(t, (P2, 2)) == 6
 
 
 def test_orbit_matches_bruteforce():
     for t in [fibonacci_tuple(), rational_tuple([2, 3], [1, 1]),
               rational_tuple([3], [2])]:
-        sys = companion_system(t)
         for m in [7, 11, 13, 23, 49]:
             try:
                 expect = period_bruteforce(t, m).period
             except DegenerateInputError:
                 continue
-            assert orbit_period(sys, m) == expect, (t.name, m)
+            assert orbit_period(t, m) == expect, (t.name, m)
 
 
 def test_orbit_matches_bruteforce_at_ideal_moduli():
     kinds = set()
     for t in standard_battery():
-        sys = companion_system(t)
         for p in range(2, 2001):
             if not is_prime(p):
                 continue
@@ -322,9 +300,9 @@ def test_orbit_matches_bruteforce_at_ideal_moduli():
                         expect = period_bruteforce(t, (P, e)).period
                     except DegenerateInputError:
                         with pytest.raises(DegenerateInputError):
-                            orbit_period(sys, (P, e))
+                            orbit_period(t, (P, e))
                         continue
-                    assert orbit_period(sys, (P, e)) == expect, (t.name, P, e)
+                    assert orbit_period(t, (P, e)) == expect, (t.name, P, e)
                     kinds.add((P.kind, e))
     assert kinds == {(k, e) for k in ("rational", "split", "inert")
                      for e in (1, 2)}
@@ -333,36 +311,44 @@ def test_orbit_matches_bruteforce_at_ideal_moduli():
 def test_orbit_rejects_singular_matrix_at_ideal_moduli():
     (P3,) = prime_ideals_above(None, 3)
     with pytest.raises(DegenerateInputError):
-        orbit_period(companion_system(rational_tuple([3], [2])), (P3, 2))
+        orbit_period(rational_tuple([3], [2]), (P3, 2))
     (P2,) = prime_ideals_above(None, 2)
     with pytest.raises(DegenerateInputError):
-        orbit_period(companion_system(rational_tuple([2, 3], [1, 1])), (P2, 1))
+        orbit_period(rational_tuple([2, 3], [1, 1]), (P2, 1))
     # roots 2 and phi: c_0 = 2*phi vanishes at the inert prime above 2
     one = as_element(1, K5)
     t = RecurrenceTuple((as_element(2, K5), PHI), (one, one))
     (Q2,) = prime_ideals_above(K5, 2)
     with pytest.raises(DegenerateInputError):
-        orbit_period(companion_system(t), (Q2, 1))
+        orbit_period(t, (Q2, 1))
     P11 = prime_ideals_above(K5, 11)[0]
-    assert orbit_period(companion_system(t), (P11, 1)) == \
+    assert orbit_period(t, (P11, 1)) == \
         period_bruteforce(t, (P11, 1)).period
 
 
 def test_orbit_rejects_singular_matrix():
-    sys = companion_system(rational_tuple([3], [2]))
     with pytest.raises(DegenerateInputError):
-        orbit_period(sys, 9)
-    sys = companion_system(rational_tuple([2, 3], [1, 1]))
+        orbit_period(rational_tuple([3], [2]), 9)
     with pytest.raises(DegenerateInputError):
-        orbit_period(sys, 4)  # det = -6 shares a factor with 4
+        orbit_period(rational_tuple([2, 3], [1, 1]), 4)  # det -6 shares 2 with 4
 
 
-def test_matrix_power_demands_a_positive_exponent():
-    from quadrec.dynamics import _mat_pow
-    M = (((0, 0), (1, 0)), ((1, 0), (1, 0)))  # Fibonacci mod 7 on (u, v) pairs
-    with pytest.raises(InvariantBreachError):
-        _mat_pow((0, 0, 7), M, 0)
-    assert _mat_pow((0, 0, 7), M, 16) == (((1, 0), (0, 0)), ((0, 0), (1, 0)))
+@pytest.mark.parametrize("shift", [1, -1])
+def test_orbit_matrix_power_catches_a_wrong_return(monkeypatch, shift):
+    import quadrec.dynamics as mod
+    real = mod._state_period
+    monkeypatch.setattr(mod, "_state_period",
+                        lambda *args: real(*args) + shift)
+    with pytest.raises(InvariantBreachError, match="matrix-power check"):
+        orbit_period(fibonacci_tuple(), 7)  # 16 is the true period
+    P11 = prime_ideals_above(K5, 11)[0]
+    with pytest.raises(InvariantBreachError, match="matrix-power check"):
+        orbit_period(fibonacci_tuple(), (P11, 2))
+
+
+def test_modulus_one_embeds_and_returns_at_once():
+    for t in standard_battery():
+        assert orbit_period(t, 1) == period_bruteforce(t, 1).period == 1
 
 
 @pytest.mark.parametrize("gen", [as_element(2), qelem(KI, 1, 1),
@@ -375,12 +361,6 @@ def test_rank_rejects_a_kernel_product_outside_the_units(monkeypatch, gen):
     monkeypatch.setattr(mod, "_valuation_rows", lambda gens: [])
     with pytest.raises(InvariantBreachError, match="support missed a prime"):
         multiplicative_rank([gen])
-
-
-def test_orbit_budget():
-    sys = companion_system(fibonacci_tuple())
-    with pytest.raises(ResourceLimitError):
-        orbit_period(sys, 7, budget=3)
 
 
 def test_eigen_consistency_examples():

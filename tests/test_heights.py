@@ -130,6 +130,16 @@ def test_height_power_scaling():
             assert abs(element_height(g ** n) - n * h1) < TOL * n
 
 
+@pytest.mark.parametrize("gamma", [PHI, qelem(K2, 1, 1)], ids=["phi", "1+sqrt2"])
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_small_conjugate_of_a_large_unit_keeps_its_bits(gamma, n):
+    # |sigma(gamma^n)| = phi^-n or (sqrt2 - 1)^n at the other real place,
+    # which a difference of two 128-bit numbers near gamma^n cannot give
+    x = gamma ** n
+    assert abs(element_height(x) - n * element_height(gamma)) < 1e-9
+    assert abs(sum(pv.log_value() for pv in local_values(x))) < 1e-9
+
+
 def test_triple_height_examples():
     assert abs(triple_height(32, 1, 31) - 5 * math.log(2)) < TOL
     assert abs(triple_height(1, 2, 3) - math.log(3)) < TOL

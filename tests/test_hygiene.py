@@ -4,8 +4,9 @@ An `assert` in src/ vanishes under `python -O`, so every invariant there must
 raise instead.  An imported name that the module never uses is dead weight
 that hides the module's real dependencies.  The period formula and its
 brute-force oracle must stay apart, so no formula-side function may name the
-oracle's state loops or embeddings, and the second Wall-Sun-Sun detector may
-name nothing from periods.  The scans' screens sit on the formula side: the
+oracle's state loops or embeddings, the companion orbit that is compared
+with the formula may name nothing of the formula route, and the second
+Wall-Sun-Sun detector may name nothing from periods.  The scans' screens sit on the formula side: the
 Wall-Sun-Sun screen and the Lucas screen of quadratic bases may name neither
 the oracle, nor that detector, nor the ideal route that verifies a
 quadratic base's hits.  Every function, class and method in src/ must be
@@ -92,6 +93,8 @@ def test_formula_route_never_names_the_oracle(src: pathlib.Path = SRC):
                   for f, names in _mentions(wieferich, WSS_DETECTOR).items()})
     leaks.update({f: sorted(names & (ORACLE | set(WSS_DETECTOR) | IDEAL_ROUTE))
                   for f, names in _mentions(wieferich, SCREENS).items()})
+    leaks.update({f: sorted(names & set(FORMULA_ROUTE)) for f, names in
+                  _mentions(_tree(src / "dynamics.py"), ("orbit_period",)).items()})
     leaks = {f: names for f, names in leaks.items() if names}
     assert leaks == {}, f"formula side names the oracle: {leaks}"
 
@@ -191,11 +194,15 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "def wss_screen(p):\n    return wss_divisibility_test(p)\n"
         "def lucas_screen(p, P):\n    return fermat_quotient_residue(p, P)\n",
         encoding="utf-8")
+    (tmp_path / "dynamics.py").write_text(
+        "def orbit_period(t, m):\n    return period_formula(t, m).period\n",
+        encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
             "{'pisano': ['period_bruteforce'], "
             "'wss_divisibility_test': ['pisano_prime_power'], "
             "'wss_screen': ['wss_divisibility_test'], "
-            "'lucas_screen': ['fermat_quotient_residue']}")):
+            "'lucas_screen': ['fermat_quotient_residue'], "
+            "'orbit_period': ['period_formula']}")):
         test_formula_route_never_names_the_oracle(tmp_path)
     (tmp_path / "dynamics.py").write_text(
         "def multiplicative_rank(x):\n    return float(x)\n"
