@@ -253,6 +253,8 @@ def parse_args(argv) -> RunConfig:
         raise UsageError("--workers must be >= 1")
     if fields.get("modulus") is not None and fields["modulus"] < 1:
         raise UsageError("--mod must be >= 1")
+    if fields.get("n_from", 1) < 1:
+        raise UsageError("--n-from must be >= 1")
     if getattr(ns, "base", None) is not None:
         fields["base"] = format_quadratic(
             parse_quadratic(ns.base, fields.get("field_d")))

@@ -25,7 +25,6 @@ PRODUCT_BITS = 1 << 22  # largest sum_i |e_i| * bits(g_i) of a product we form
 
 @dataclass(frozen=True)
 class MultiplicativeGroupReport:
-    generators: tuple[str, ...]
     support_primes: tuple[str, ...]
     valuation_matrix: tuple[tuple[int, ...], ...]  # rows follow the generators
     kernel_basis: tuple[tuple[int, ...], ...]
@@ -159,22 +158,16 @@ def multiplicative_rank(a) -> MultiplicativeGroupReport:
         free = [(kj, keep)]
     kernel = tuple(vec for _, vec in free) + tuple(torsion)
     return MultiplicativeGroupReport(
-        generators=tuple(str(g) for g in gens), support_primes=tuple(labels),
-        valuation_matrix=matrix, kernel_basis=kernel,
-        torsion_relations=tuple(torsion), free_rank=m - len(torsion))
-
-
-def expected_count(a, Y: int) -> float:
-    """Sum of N(P)^(-r) over admissible primes of norm at most Y, where r is
-    the free rank of the group generated by a; split primes count per ideal."""
-    return expected_counts(a, [Y])[0]
+        support_primes=tuple(labels), valuation_matrix=matrix,
+        kernel_basis=kernel, torsion_relations=tuple(torsion),
+        free_rank=m - len(torsion))
 
 
 def expected_counts(a, Ys: Sequence[int]) -> list[float]:
-    """expected_count(a, Y) for every Y in Ys, from one prime pass.
-
-    Each total adds its own terms in the order expected_count(a, Y) adds
-    them, so every float is bit-identical to the one-Y call.
+    """For every Y in Ys, the sum of N(P)^(-r) over admissible primes of norm
+    at most Y, where r is the free rank of the group generated by a; split
+    primes count per ideal.  One prime pass serves every Y, and each total
+    adds its terms in ascending order, bit-identical to a pass for Y alone.
     """
     if not Ys:
         return []

@@ -41,7 +41,6 @@ class PlaceValue:
     kind: str  # "finite" | "infinite"
     value: object  # Fraction or mpf
     ideal: Optional[PrimeIdealData] = None
-    embedding: int = 0
     weight: int = 1
 
     def log_value(self):
@@ -72,7 +71,7 @@ def _infinite_places(g: QuadraticElement) -> list[PlaceValue]:
         nrm = abs(field_norm(g))
         small = mpmath.mpf(nrm.numerator) / nrm.denominator / big
         vals = (big, small) if A * b >= 0 else (small, big)
-        return [PlaceValue("infinite", v, embedding=i) for i, v in enumerate(vals)]
+        return [PlaceValue("infinite", v) for v in vals]
 
 
 def local_values(x) -> list[PlaceValue]:
@@ -89,17 +88,11 @@ def local_values(x) -> list[PlaceValue]:
 
 
 def element_height(x) -> float:
-    """Absolute logarithmic Weil height."""
+    """Absolute logarithmic Weil height: the height of (x : 1 : 1)."""
     g = as_element(x)
     if g.is_zero():
         raise UsageError("height of zero is undefined")
-    with mpmath.workprec(PRECISION):
-        total = mpmath.mpf(0)
-        for pv in local_values(g):
-            lv = pv.log_value()
-            if lv > 0:
-                total += lv
-        return float(total / _degree(g.field))
+    return triple_height(g, 1, 1)
 
 
 def archimedean_height_sum(x) -> float:
@@ -194,7 +187,6 @@ def _quality(h: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class PhiRatio:
-    n: int
     ratio: float   # log-norm of the cyclotomic value over phi(n)
     target: float  # archimedean height sum of the base, the n -> inf limit
 
@@ -202,7 +194,7 @@ class PhiRatio:
 def phi_norm_ratio(gamma, n: int) -> PhiRatio:
     g = as_element(gamma)
     ratio = log_norm(cyclotomic_value(g, n)) / euler_phi(n)
-    return PhiRatio(n, ratio, archimedean_height_sum(g))
+    return PhiRatio(ratio, archimedean_height_sum(g))
 
 
 def totient_density(Y: int, delta: float) -> tuple[int, float]:

@@ -235,17 +235,16 @@ def _pair_state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
 
 
 def _state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
-                  t: int, n: int, mod: int, budget: Optional[int] = None) -> int:
+                  t: int, n: int, mod: int) -> int:
     """First return of a state of (u, v) pairs mod `mod`, w^2 = t*w - n.
 
     All-rational states (every v = 0) of order at most 3 take the integer
-    window loop, every other state the pair loop.  The default budget is 6
-    times the square of the state space of one entry: 6*mod^2 for rational
-    states, 6*mod^4 for pairs.
+    window loop, every other state the pair loop.  The budget is 6 times the
+    square of the state space of one entry: 6*mod^2 for rational states,
+    6*mod^4 for pairs.
     """
     rational = all(v == 0 for _, v in cs + xs)
-    if budget is None:
-        budget = 6 * mod ** (2 if rational else 4)
+    budget = 6 * mod ** (2 if rational else 4)
     if rational and len(cs) <= 3:
         return _int_state_period([u for u, _ in cs], [u for u, _ in xs], mod,
                                  budget)

@@ -23,10 +23,11 @@ Rational = Union[int, Fraction]
 
 # Trial division handles prime factors below this bound deterministically;
 # beyond it Brent's rho races Pollard's p-1 stage 1, both drawing on the one
-# budget DEFAULT_RHO_BUDGET (rho squarings; p-1 runs to B1 = budget // 2).
+# budget RHO_BUDGET (rho squarings; p-1 runs to B1 = RHO_BUDGET // 2).
 TRIAL_LIMIT = 10 ** 6
 _TRIAL_SQ = TRIAL_LIMIT ** 2
-DEFAULT_RHO_BUDGET = 2_000_000
+RHO_BUDGET = 2_000_000
+SEGMENT = 1 << 16  # numbers per segment of the prime sieve
 
 # Trial division by every prime through 61 runs first, so no Miller-Rabin
 # base below is ever 0 mod n.
@@ -170,20 +171,21 @@ def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
     return None
 
 
-def _split(n: int, budget: int, index: int) -> int:
+def _split(n: int, index: int) -> int:
     """A factor d > 1 of composite n, not n: Brent rho raced against p-1.
 
     The method that has spent less work (modular squarings, or exponent
     bits, which cost a squaring each) runs next, so a split costs at most
-    about twice what the cheaper method needs.  Rho stops after budget
-    squarings, p-1 after the primes up to B1 = budget // 2; when both have
-    stopped, or together they pass 2 * budget, FactorizationError.
+    about twice what the cheaper method needs.  Rho stops after RHO_BUDGET
+    squarings, p-1 after the primes up to B1 = RHO_BUDGET // 2; when both
+    have stopped, or together they pass 2 * RHO_BUDGET, FactorizationError.
     """
     if n % 2 == 0:
         return 2
     r = math.isqrt(n)
     if r * r == n:
         return r
+    budget = RHO_BUDGET
     methods = {"rho": _pollard_brent(n, budget),
                "p-1": _pollard_pm1(n, budget // 2, index)}
     spent = dict.fromkeys(methods, 0)
@@ -225,18 +227,14 @@ def _trial_wheel(index: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return first, cands[0], tuple(gaps)
 
 
-_WHEEL = _trial_wheel(1)
-
-
-def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
-              index: int = 1) -> dict[int, int]:
+def factorize(n: int, index: int = 1) -> dict[int, int]:
     """Full prime factorization {p: e} of n >= 1.
 
     Trial division below TRIAL_LIMIT.  A composite cofactor above it goes to
-    a race of Brent's rho (at most rho_budget squarings) against Pollard's
-    p-1 stage 1 (B1 = rho_budget // 2, started from 3^(2*index)): whichever
+    a race of Brent's rho (at most RHO_BUDGET squarings) against Pollard's
+    p-1 stage 1 (B1 = RHO_BUDGET // 2, started from 3^(2*index)): whichever
     has spent less runs next, and the first proper factor wins.  A cofactor
-    that neither method splits within 2 * rho_budget raises
+    that neither method splits within 2 * RHO_BUDGET raises
     FactorizationError rather than returning a guess.
 
     index states a fact about n: every prime factor q of n divides index or
@@ -250,7 +248,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
     """
     if n < 1:
         raise ValueError("factorize is defined for positive integers")
-    first, m, gaps = _WHEEL if index == 1 else _trial_wheel(index)
+    first, m, gaps = _trial_wheel(index)
     out: dict[int, int] = {}
     for p in first:
         if n % p == 0:
@@ -271,7 +269,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
         if m * m > n:
             out[n] = out.get(n, 0) + 1
         else:
-            _factor_large(n, out, rho_budget, index)
+            _factor_large(n, out, index)
     if index > 1:
         bad = [q for q in out
                if not ((index % q == 0 or q * q % index == 1) and is_prime(q))]
@@ -283,15 +281,15 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET,
     return dict(sorted(out.items()))
 
 
-def _factor_large(n: int, out: dict[int, int], budget: int, index: int) -> None:
+def _factor_large(n: int, out: dict[int, int], index: int) -> None:
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    d = _split(n, budget, index)
+    d = _split(n, index)
     if not 1 < d < n:
         raise InvariantBreachError(f"split returned {d}, not a proper factor of {n}")
-    _factor_large(d, out, budget, index)
-    _factor_large(n // d, out, budget, index)
+    _factor_large(d, out, index)
+    _factor_large(n // d, out, index)
 
 
 def euler_phi(n: int) -> int:
@@ -303,26 +301,18 @@ def euler_phi(n: int) -> int:
 
 
 def primes_below(n: int) -> list[int]:
-    """All primes < n, by a byte sieve; fine up to a few times 10^7."""
-    if n <= 2:
-        return []
-    s = bytearray([1]) * n
-    s[0] = s[1] = 0
-    for p in range(2, math.isqrt(n - 1) + 1):
-        if s[p]:
-            s[p * p::p] = bytearray(len(range(p * p, n, p)))
-    return [i for i in range(n) if s[i]]
+    """All primes < n."""
+    return list(iter_primes(2, n))
 
 
-def _prime_segments(lo: int, hi: int,
-                    segment: int = 1 << 16) -> Iterator[Iterator[int]]:
-    """The primes in [lo, hi), one sieve segment at a time."""
+def _prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
+    """The primes in [lo, hi), a segment at a time, sieved by primes_below."""
     lo = max(lo, 2)
     if lo >= hi:
         return
     base = primes_below(math.isqrt(hi - 1) + 1)
-    for start in range(lo, hi, segment):
-        end = min(start + segment, hi)
+    for start in range(lo, hi, SEGMENT):
+        end = min(start + SEGMENT, hi)
         marks = bytearray([1]) * (end - start)
         for p in base:
             if p * p >= end:
@@ -332,9 +322,9 @@ def _prime_segments(lo: int, hi: int,
         yield itertools.compress(range(start, end), marks)
 
 
-def iter_primes(lo: int, hi: int, segment: int = 1 << 16) -> Iterator[int]:
-    """Primes in [lo, hi) via a segmented sieve; memory stays O(segment)."""
-    for primes in _prime_segments(lo, hi, segment):
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """Primes in [lo, hi) via a segmented sieve; memory stays O(SEGMENT)."""
+    for primes in _prime_segments(lo, hi):
         yield from primes
 
 

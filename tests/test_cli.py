@@ -11,7 +11,7 @@ from quadrec import cli
 from quadrec.cli import (RunConfig, format_quadratic, main, parse_args,
                          parse_quadratic)
 from quadrec.certificates import NonWieferichCertificate, certified_count
-from quadrec.dynamics import expected_count
+from quadrec.dynamics import expected_counts
 from quadrec.errors import (CheckpointError, FactorizationError, QuadrecError,
                             ResourceLimitError, UsageError)
 from quadrec.ring import (as_element, prime_ideals_above, qelem,
@@ -508,6 +508,15 @@ def test_phi_ratio_torsion_base_exits_2(capsys):
     assert "non-torsion" in err
 
 
+@pytest.mark.parametrize("sub", ["abc-quality", "phi-ratio"])
+def test_n_from_below_one_exits_2(capsys, sub):
+    # abc-quality used to start at n = 1 without a word
+    code, out, err = run_cli(capsys, sub, "--base", "2", "--n-from", "0",
+                             "--n-to", "2")
+    assert (code, out) == (2, "")
+    assert "--n-from must be >= 1" in err
+
+
 def test_rank_report(capsys):
     code, out, _ = run_cli(capsys, "rank", "--gen", "2", "--gen", "3")
     doc = json.loads(out)
@@ -560,7 +569,7 @@ def test_heuristic_decades(capsys):
     assert lines[1] == "Y,expected_count"
     rows = [ln.split(",") for ln in lines[2:]]
     assert [r[0] for r in rows] == ["10", "100", "1000"]
-    assert float(rows[0][1]) == expected_count([as_element(2)], 10)
+    assert float(rows[0][1]) == expected_counts([as_element(2)], [10])[0]
 
 
 def test_error_exit_codes(monkeypatch, capsys):

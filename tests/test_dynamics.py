@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from quadrec.dynamics import (
     _fundamental_unit,
     eigen_consistency,
-    expected_count,
     expected_counts,
     multiplicative_rank,
     orbit_period,
@@ -197,7 +196,7 @@ def test_rank_rejects_generators_from_two_fields():
     with pytest.raises(ValueError, match="elements from different fields"):
         multiplicative_rank(mixed)
     with pytest.raises(ValueError, match="elements from different fields"):
-        expected_count(mixed, 100)
+        expected_counts(mixed, [100])
 
 
 @given(st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9,
@@ -221,22 +220,22 @@ def test_rank_inversion_invariance(gens):
 
 
 def test_expected_count_values():
-    assert abs(expected_count([2], 10) - (1 / 3 + 1 / 5 + 1 / 7)) < TOL
-    assert abs(expected_count([2, 3], 10) - (1 / 25 + 1 / 49)) < TOL
-    assert expected_count([2], 2) == 0.0
+    assert abs(expected_counts([2], [10])[0] - (1 / 3 + 1 / 5 + 1 / 7)) < TOL
+    assert abs(expected_counts([2, 3], [10])[0] - (1 / 25 + 1 / 49)) < TOL
+    assert expected_counts([2], [2])[0] == 0.0
 
 
 def test_expected_count_per_ideal():
-    got = expected_count([PHI ** 2], 11)
+    got = expected_counts([PHI ** 2], [11])[0]
     assert abs(got - (1 / 4 + 1 / 9 + 2 / 11)) < TOL
-    got = expected_count([as_element(3, K5)], 30)
+    got = expected_counts([as_element(3, K5)], [30])[0]
     # 3 is inert and degenerate; 5 is ramified; split primes count twice
     assert abs(got - (1 / 4 + 2 / 11 + 2 / 19 + 2 / 29)) < TOL
 
 
 def test_expected_count_monotone_in_bound_and_rank():
-    assert expected_count([2], 100) > expected_count([2], 10)
-    assert expected_count([2, 3], 100) < expected_count([2], 100)
+    assert expected_counts([2], [100])[0] > expected_counts([2], [10])[0]
+    assert expected_counts([2, 3], [100])[0] < expected_counts([2], [100])[0]
 
 
 @pytest.mark.parametrize("gens", [[2], [2, 3], [PHI ** 2], [as_element(3, K5)]],
@@ -258,7 +257,7 @@ def test_expected_counts_bit_identical_to_one_y_sums(gens):
                     total += P.norm ** (-r)
         want.append(total)
     assert expected_counts(gens, ys) == want
-    assert [expected_count(gens, y) for y in ys] == want
+    assert [expected_counts(gens, [y])[0] for y in ys] == want
     assert expected_counts(gens, []) == []
 
 

@@ -25,6 +25,8 @@ K5 = quadratic_field(5)
 K2 = quadratic_field(2)
 KM1 = quadratic_field(-1)
 KM3 = quadratic_field(-3)
+K13 = quadratic_field(13)
+KM2 = quadratic_field(-2)
 PHI = qelem(K5, 0, 1)
 TOL = 1e-12
 
@@ -47,6 +49,27 @@ def test_height_spot_values():
     assert abs(element_height(root5) - math.log(5) / 2) < TOL
     one_plus_i = qelem(KM1, 1, 1)
     assert abs(element_height(one_plus_i) - math.log(2) / 2) < TOL
+
+
+@pytest.mark.parametrize("x, want", [
+    (as_element(Fraction(-7, 12)), "2.4849066497880004"),
+    (as_element(Fraction(2 ** 61 - 1, 3 ** 40)), "43.944491546724386"),
+    (PHI, "0.24060591252980174"),
+    (PHI ** 200, "48.12118250596034"),
+    (qelem(K2, 1, 1), "0.4406867935097715"),
+    (qelem(K2, 3, -5, 7), "2.127788444539102"),
+    (qelem(KM1, 1, 1), "0.34657359027997264"),
+    (qelem(KM1, 2, 3, 5), "1.6094379124341003"),
+    (qelem(KM3, 2, 1), "0.9729550745276566"),
+    (qelem(K13, 1, 2, 3), "0.8618787029592632"),  # (2+sqrt 13)/3, 3 splits
+    (qelem(KM2, 1, 1, 3), "0.5493061443340549"),  # (1+sqrt -2)/3, 3 splits
+], ids=["-7/12", "mersenne61/3^40", "phi", "phi^200", "1+sqrt2",
+        "(3-5sqrt2)/7", "1+i", "(2+3i)/5", "2+omega3", "(2+sqrt13)/3",
+        "(1+sqrt-2)/3"])
+def test_height_reprs_are_pinned(x, want):
+    # exact floats: a change in which logs are added, or in what order,
+    # shows here before any tolerance could hide it
+    assert repr(element_height(x)) == want
 
 
 def test_local_values_examples():

@@ -13,9 +13,12 @@ quadratic base's hits.  Every function, class and method in src/ must be
 named by some code or by README.md; one that nothing names is dead weight.
 An element carries its field, so outside ring.py no function takes a field
 as a defaulted `field` parameter, and heights run at one fixed precision, so
-no function takes a `precision` option at all.  The free rank of a group is
-exact, so `multiplicative_rank` and its helpers name no log, float, rational
-approximation or archimedean place.
+no function takes a `precision` option at all.  Nor does any function take
+the factorization budget, the sieve segment or a state loop's budget as an
+option: the first two are module constants and the last is derived from the
+modulus; a required parameter of those names stays allowed.  The free rank
+of a group is exact, so `multiplicative_rank` and its helpers name no log,
+float, rational approximation or archimedean place.
 """
 import ast
 import pathlib
@@ -115,7 +118,8 @@ def test_the_rank_path_names_nothing_inexact(src: pathlib.Path = SRC):
 
 
 # option name -> the modules whose functions may still take it with a default
-BANNED_OPTIONS = {"field": {"ring.py"}, "precision": set()}
+BANNED_OPTIONS = {"field": {"ring.py"}, "precision": set(),
+                  "rho_budget": set(), "segment": set(), "budget": set()}
 
 
 def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
@@ -220,14 +224,20 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         test_the_rank_path_names_nothing_inexact(tmp_path)
     (tmp_path / "ring.py").write_text(
         "def as_element(v, field=None):\n    return v\n"
-        "def log_norm(x, precision=128):\n    return x\n", encoding="utf-8")
+        "def log_norm(x, precision=128):\n    return x\n"
+        "def factorize(n, rho_budget=2, index=1):\n    return n\n"
+        "def iter_primes(lo, hi, *, segment=64):\n    return lo\n"
+        "def _state_period(cs, mod, budget=None):\n    return mod\n"
+        "def _pollard_brent(n, budget):\n    return n\n", encoding="utf-8")
     (tmp_path / "heights.py").write_text(
         "def radical(x, field=None):\n    return x\n"
         "def height(x, *, field=None, precision=128):\n    return x\n"
         "def degree(field):\n    return 2\n", encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
             "['heights.py:radical:field', 'heights.py:height:field', "
-            "'heights.py:height:precision', 'ring.py:log_norm:precision']")):
+            "'heights.py:height:precision', 'ring.py:log_norm:precision', "
+            "'ring.py:factorize:rho_budget', 'ring.py:iter_primes:segment', "
+            "'ring.py:_state_period:budget']")):
         test_only_ring_takes_a_field_option(tmp_path)
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code

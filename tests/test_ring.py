@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -562,11 +563,14 @@ def test_factorize_along_cyclotomic_classes_matches_plain(d, a, b, den, n):
     assume(not is_torsion(gamma))  # cyclotomic_value refuses roots of unity
     value = cyclotomic_value(gamma, n)
     N = abs(field_norm(value).numerator)
-    try:
-        plain = factorize(N, rho_budget=50_000)
-    except FactorizationError:
-        assume(False)  # rho budget ran out on a hard cofactor, not our claim
-    assert factorize(N, rho_budget=50_000, index=n) == plain
+    # a small budget keeps each example fast; patched here, because a
+    # function-scoped monkeypatch does not mix with hypothesis
+    with mock.patch.object(ring, "RHO_BUDGET", 50_000):
+        try:
+            plain = factorize(N)
+        except FactorizationError:
+            assume(False)  # a hard cofactor outran the budget, not our claim
+        assert factorize(N, index=n) == plain
 
 
 def test_factorize_with_index_on_mersenne_numbers():
@@ -657,7 +661,7 @@ def test_pm1_streams_its_primes(monkeypatch):
     monkeypatch.setattr(mod, "primes_below", recording)
     assert factorize(2 ** 101 - 1, index=101) == {7432339208719: 1,
                                                  341117531003194129: 1}
-    b1 = mod.DEFAULT_RHO_BUDGET // 2
+    b1 = mod.RHO_BUDGET // 2
     assert asked and max(asked) <= math.isqrt(b1) + 1
 
 
@@ -677,13 +681,14 @@ def test_pm1_backtracks_when_one_batch_reveals_both_factors():
     assert factorize(q1 * q2) == {q1: 1, q2: 1}
 
 
-def test_race_gives_up_on_a_product_of_safe_primes():
+def test_race_gives_up_on_a_product_of_safe_primes(monkeypatch):
     # q = 2r + 1 with r prime: neither q - 1 is smooth, and rho needs about
     # 10^6 steps, far past the budget
     q1, q2 = 1000000000547, 1000002002543
     assert all(is_prime(q) and is_prime(q // 2) for q in (q1, q2))
+    monkeypatch.setattr(ring, "RHO_BUDGET", 20_000)
     with pytest.raises(FactorizationError) as info:
-        factorize(q1 * q2, rho_budget=20_000)
+        factorize(q1 * q2)
     assert str(q1 * q2) in str(info.value) and "20000" in str(info.value)
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from quadrec import search
+from quadrec import ring, search
 from quadrec.errors import CheckpointError, InvariantBreachError, UsageError
 from quadrec.ring import as_element, prime_ideals_above, qelem, quadratic_field
 from quadrec.search import (
@@ -22,14 +22,20 @@ from quadrec.search import (
 K5 = quadratic_field(5)
 
 
-def test_iter_primes_matches_sieve():
+def test_iter_primes_matches_sieve(monkeypatch):
     assert list(iter_primes(2, 1000)) == oracles.primes_below(1000)
     assert list(iter_primes(0, 30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert list(iter_primes(100, 130)) == [101, 103, 107, 109, 113, 127]
     assert list(iter_primes(50, 50)) == []
+    # the sieving primes come from the same sieve one level down, so every
+    # small bound exercises the recursion's base cases
+    for n in range(201):
+        assert ring.primes_below(n) == oracles.primes_below(n), n
     # segment boundaries do not lose primes
-    got = list(iter_primes(2, 5000, segment=64))
+    monkeypatch.setattr(ring, "SEGMENT", 64)
+    got = list(iter_primes(2, 5000))
     assert got == oracles.primes_below(5000)
+    assert ring.primes_below(5000) == got
 
 
 def test_empty_range_checkpoint():
