@@ -50,6 +50,13 @@ def cyclotomic_value(gamma, n: int) -> QuadraticElement:
     return num / den
 
 
+def cyclotomic_factors(gamma, d: int) -> list[tuple[PrimeIdealData, int]]:
+    """ideal_factors of Phi_d(gamma), the one place where it is factored.
+    Every prime of N(Phi_d(gamma))'s numerator divides d or has norm 1 mod
+    d, so the factorization runs with index = d."""
+    return ideal_factors(cyclotomic_value(gamma, d), index=d)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -76,14 +83,13 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
 
     Filter: v_P(Phi_n(gamma)) = 1, P unramified, p does not divide n, and P
     outside the support of the ideal (gamma), numerator and denominator
-    alike.  Every prime of N(Phi_n(gamma))'s numerator divides n or has norm
-    1 mod n, so its factorization runs with index = n.  Every survivor is
-    then verified on both claims; a verification failure is a library bug.
-    The order is proven equal to n from gamma^n = 1 and gamma^(n/r) != 1
-    (mod P) for each prime r | n, so N(P) +- 1 is never factored.
+    alike.  Every survivor is then verified on both claims; a verification
+    failure is a library bug.  The order is proven equal to n from
+    gamma^n = 1 and gamma^(n/r) != 1 (mod P) for each prime r | n, so
+    N(P) +- 1 is never factored.
     """
     g = as_element(gamma)
-    factors = ideal_factors(cyclotomic_value(g, n), index=n)  # refuses torsion
+    factors = cyclotomic_factors(g, n)  # refuses torsion
     banned = {P.label() for P, _ in ideal_factors(g)}
     n_primes = tuple(factorize(n))
     out = []

@@ -22,7 +22,7 @@ from typing import Optional
 from .certificates import certified_count
 from .dynamics import expected_counts, multiplicative_rank
 from .errors import DegenerateInputError, QuadrecError, UsageError
-from .heights import _quality, phi_norm_ratio, radical, triple_height
+from .heights import phi_norm_ratio, power_triples
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
 from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
@@ -401,19 +401,8 @@ def _cmd_certify(cfg: RunConfig, out) -> None:
 
 
 def _cmd_abc_quality(cfg: RunConfig, out) -> None:
-    g = parse_quadratic(cfg.base, cfg.field_d)
-    one = as_element(1, g.field)
-    rows = []
-    power = one
-    for n in range(1, cfg.n_to + 1):
-        power = power * g
-        if n < cfg.n_from:
-            continue
-        triple = (power, as_element(-1, g.field), one - power)
-        h = triple_height(*triple)
-        r = radical(*triple)
-        rows.append((n, h, r, _quality(h, r)))
-    _emit(cfg, ["n", "h", "rad", "q"], rows, out)
+    _emit(cfg, ["n", "h", "rad", "q"], power_triples(
+        parse_quadratic(cfg.base, cfg.field_d), cfg.n_from, cfg.n_to), out)
 
 
 def _cmd_phi_ratio(cfg: RunConfig, out) -> None:

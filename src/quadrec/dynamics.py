@@ -18,7 +18,8 @@ from .heights import _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, period_formula)
 from .ring import (QuadraticElement, QuadraticField, _prime_ideals_above,
-                   as_element, as_elements, is_torsion, iter_primes)
+                   as_element, as_elements, ideal_factors, is_torsion,
+                   iter_primes)
 
 PRODUCT_BITS = 1 << 22  # largest sum_i |e_i| * bits(g_i) of a product we form
 
@@ -136,7 +137,8 @@ def multiplicative_rank(a) -> MultiplicativeGroupReport:
     """
     gens = _coerce_generators(a)
     m = len(gens)
-    support = sorted(_valuation_rows(gens), key=lambda r: (r[0].p, r[0].label()))
+    support = sorted(_valuation_rows([ideal_factors(g) for g in gens]),
+                     key=lambda r: (r[0].p, r[0].label()))
     labels = [P.label() for P, _ in support]
     columns = [vrow for _, vrow in support]
     matrix = tuple(zip(*columns)) if columns else ((),) * m

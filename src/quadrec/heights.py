@@ -6,6 +6,7 @@ exact as Fractions for as long as possible.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,7 +14,7 @@ from typing import Optional
 
 import mpmath
 
-from .certificates import cyclotomic_value
+from .certificates import cyclotomic_factors, cyclotomic_value
 from .errors import UsageError
 from .ring import (
     PrimeIdealData,
@@ -24,6 +25,7 @@ from .ring import (
     euler_phi,
     field_norm,
     ideal_factors,
+    is_torsion,
 )
 
 PRECISION = 128  # mantissa bits
@@ -120,33 +122,39 @@ def log_norm(obj) -> float:
         return float(lv / _degree(g.field))
 
 
-def _valuation_rows(xs) -> list[tuple[PrimeIdealData, list[int]]]:
-    """(P, [v_P(x) for x in xs]) for every prime ideal P dividing some x,
-    in order of first appearance."""
+def _valuation_rows(factor_lists) -> list[tuple[PrimeIdealData, list[int]]]:
+    """(P, [v_P(x) for each x]) for every prime ideal P in the
+    ideal_factors lists, one per x, in order of first appearance."""
     rows: dict[str, tuple[PrimeIdealData, list[int]]] = {}
-    for i, g in enumerate(xs):
-        for P, v in ideal_factors(g):
-            rows.setdefault(P.label(), (P, [0] * len(xs)))[1][i] = v
+    for i, factors in enumerate(factor_lists):
+        for P, v in factors:
+            rows.setdefault(P.label(), (P, [0] * len(factor_lists)))[1][i] = v
     return list(rows.values())
+
+
+def _height_radical(xs, factor_lists) -> tuple[float, float]:
+    """Height of the point xs and its radical, from one ideal_factors list
+    per coordinate."""
+    with mpmath.workprec(PRECISION):
+        h = r = mpmath.mpf(0)
+        for P, vrow in _valuation_rows(factor_lists):
+            m = min(vrow)
+            if m:
+                h -= m * mpmath.log(P.norm)
+            if len(set(vrow)) > 1:
+                r += mpmath.log(P.norm)
+        for column in zip(*(_infinite_places(g) for g in xs)):
+            h += max(pv.log_value() for pv in column)
+        deg = _degree(xs[0].field)
+        return float(h / deg), float(r / deg)
 
 
 def triple_height(x1, x2, x3) -> float:
     """Projective height of (x1 : x2 : x3)."""
-    xs = as_elements((x1, x2, x3))
-    nz = [g for g in xs if not g.is_zero()]
+    nz = [g for g in as_elements((x1, x2, x3)) if not g.is_zero()]
     if not nz:
         raise UsageError("the zero triple has no height")
-    deg = _degree(nz[0].field)
-    with mpmath.workprec(PRECISION):
-        total = mpmath.mpf(0)
-        for P, vrow in _valuation_rows(nz):
-            m = min(vrow)
-            if m:
-                total -= m * mpmath.log(P.norm)
-        per_place = zip(*(_infinite_places(g) for g in nz))
-        for column in per_place:
-            total += max(pv.log_value() for pv in column)
-        return float(total / deg)
+    return _height_radical(nz, [ideal_factors(g) for g in nz])[0]
 
 
 def radical(x1, x2, x3) -> float:
@@ -155,13 +163,7 @@ def radical(x1, x2, x3) -> float:
     xs = as_elements((x1, x2, x3))
     if any(g.is_zero() for g in xs):
         raise UsageError("radical requires nonzero coordinates")
-    deg = _degree(xs[0].field)
-    with mpmath.workprec(PRECISION):
-        total = mpmath.mpf(0)
-        for P, vrow in _valuation_rows(xs):
-            if len(set(vrow)) > 1:
-                total += mpmath.log(P.norm)
-        return float(total / deg)
+    return _height_radical(xs, [ideal_factors(g) for g in xs])[1]
 
 
 def abc_quality(x1, x2, x3) -> float:
@@ -175,7 +177,32 @@ def abc_quality(x1, x2, x3) -> float:
         raise UsageError("quality requires nonzero coordinates")
     if not (xs[0] + xs[1] + xs[2]).is_zero():
         raise UsageError("quality is defined for zero-sum triples only")
-    return _quality(triple_height(*xs), radical(*xs))
+    return _quality(*_height_radical(xs, [ideal_factors(g) for g in xs]))
+
+
+def power_triples(gamma, n_from: int, n_to: int) -> list[tuple]:
+    """(n, h, rad, q) of the triple (gamma^n, -1, 1 - gamma^n) for n_from <=
+    n <= n_to.  Nothing is factored but gamma and each Phi_d(gamma), once:
+    v_P(1 - gamma^n) is the sum of v_P(Phi_d(gamma)) over d | n, and the
+    rows keep the order that _valuation_rows gives on the whole triple, so
+    every float equals that of the general route."""
+    g = as_element(gamma)
+    if g.is_zero():
+        raise UsageError("zero base has no power triples")
+    if is_torsion(g):
+        raise UsageError("cyclotomic values need a non-torsion base")
+    base = ideal_factors(g)
+    cyclo = functools.cache(lambda d: cyclotomic_factors(g, d))
+    out = []
+    for n in range(n_from, n_to + 1):
+        per_d = [cyclo(d) for d in range(1, n + 1) if n % d == 0]
+        tail = sorted(((P, sum(vs)) for P, vs in _valuation_rows(per_d)),
+                      key=lambda pv: (pv[0].p, pv[0].label()))
+        power = g ** n
+        h, r = _height_radical((power, as_element(-1, g.field), 1 - power),
+                               [[(P, n * v) for P, v in base], [], tail])
+        out.append((n, h, r, _quality(h, r)))
+    return out
 
 
 def _quality(h: float, r: float) -> float:

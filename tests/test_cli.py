@@ -490,6 +490,35 @@ def test_abc_quality_json_window(capsys):
         assert float(d["q"]) > 0
 
 
+@pytest.mark.parametrize("base, msg", [
+    ("0", "zero base has no power triples"),
+    ("-1", "cyclotomic values need a non-torsion base"),
+    ("sqrt(-1)", "cyclotomic values need a non-torsion base")])
+def test_abc_quality_zero_and_torsion_bases_exit_2(capsys, base, msg):
+    # refused before anything is factored, with the messages the library uses
+    code, out, err = run_cli(capsys, "abc-quality", "--base", base,
+                             "--n-to", "3")
+    assert (code, out) == (2, "")
+    assert msg in err
+
+
+def test_abc_quality_past_the_unsplit_cofactor(capsys):
+    # 2^122 - 1 = 3 * (2^61 - 1) * 768614336404564651 is squarefree; whole, its
+    # 121-bit cofactor defeats rho and p-1, as Phi_61(2) and Phi_122(2) do not
+    import math
+    code, out, _ = run_cli(capsys, "abc-quality", "--base", "2",
+                           "--n-from", "122", "--n-to", "122", "--emit", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["n"] == "122"
+    h, rad = 122 * math.log(2), math.log(2 * (2 ** 122 - 1))
+    assert abs(float(doc["h"]) - h) <= 1e-12 * h
+    assert abs(float(doc["rad"]) - rad) <= 1e-12 * rad
+    code, out, _ = run_cli(capsys, "abc-quality", "--base", "2", "--n-to", "131")
+    assert code == 0
+    assert [ln.split(",")[0] for ln in out.splitlines()[2:]] == [
+        str(n) for n in range(1, 132)]
+
+
 def test_phi_ratio_rows(capsys):
     code, out, _ = run_cli(capsys, "phi-ratio", "--base", "2",
                            "--n-from", "6", "--n-to", "6", "--emit", "json")

@@ -357,7 +357,7 @@ def test_rank_rejects_a_kernel_product_outside_the_units(monkeypatch, gen):
     import quadrec.dynamics as mod
     # with the support dropped, the generator is a kernel vector whose
     # product is not a unit: in Q and Q(i) not torsion, in Q(sqrt5) no +-eps^k
-    monkeypatch.setattr(mod, "_valuation_rows", lambda gens: [])
+    monkeypatch.setattr(mod, "_valuation_rows", lambda factor_lists: [])
     with pytest.raises(InvariantBreachError, match="support missed a prime"):
         multiplicative_rank([gen])
 

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of twenty-nine fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of thirty fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -61,6 +61,10 @@ COMMANDS = {
     "abc-quality-base-2-csv": ["abc-quality", "--base", "2", "--n-to", "12"],
     "abc-quality-base-1-plus-sqrt-2-json": ["abc-quality", "--base", "1+sqrt(2)",
                                             "--n-to", "12", "--emit", "json"],
+    # n = 96 and 100 have square factors, so the quality exceeds 1 there
+    "abc-quality-base-phi-95-100-json": ["abc-quality", "--base", "(1+sqrt(5))/2",
+                                         "--n-from", "95", "--n-to", "100",
+                                         "--emit", "json"],
     "phi-ratio-base-2-csv": ["phi-ratio", "--base", "2", "--n-to", "12"],
     "phi-ratio-base-2-json": ["phi-ratio", "--base", "2", "--n-to", "12",
                               "--emit", "json"],

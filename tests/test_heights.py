@@ -3,22 +3,28 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from quadrec.errors import UsageError
+import quadrec.certificates
+import quadrec.heights
+from quadrec.certificates import cyclotomic_value
+from quadrec.errors import FactorizationError, UsageError
 from quadrec.heights import (
+    _quality,
     abc_quality,
     archimedean_height_sum,
     element_height,
     local_values,
     log_norm,
     phi_norm_ratio,
+    power_triples,
     radical,
     totient_density,
     triple_height,
 )
-from quadrec.ring import as_element, prime_ideals_above, qelem, quadratic_field
+from quadrec.ring import (as_element, is_torsion, prime_ideals_above, qelem,
+                          quadratic_field)
 from oracles import phi_brute
 
 K5 = quadratic_field(5)
@@ -285,3 +291,70 @@ def test_zero_rejections():
         local_values(qelem(K5, 0, 0))
     with pytest.raises(UsageError):
         triple_height(0, 0, 0)
+
+
+KM7 = quadratic_field(-7)
+# (field, den) pairs: Q, Q(sqrt2), Q(sqrt5), Q(sqrt13) over 3, Q(i), Q(sqrt-7)
+POWER_BASES = [(None, 1), (K2, 1), (K5, 1), (K13, 3), (KM1, 1), (KM7, 1)]
+
+
+def _whole_triple_rows(g, n_from, n_to):
+    """(n, h, rad, q) with 1 - g^n factored whole, the general route."""
+    rows = []
+    for n in range(n_from, n_to + 1):
+        triple = (g ** n, as_element(-1, g.field), 1 - g ** n)
+        h, r = triple_height(*triple), radical(*triple)
+        rows.append((n, h, r, _quality(h, r)))
+    return rows
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(POWER_BASES), st.integers(-3, 3), st.integers(-3, 3),
+       st.integers(1, 30), st.integers(0, 2))
+@example((K13, 3), 1, 2, 1, 2)  # (2+sqrt13)/3: 3 splits, v_3a = -1, v_3b = 1
+@example((K5, 1), 0, 1, 28, 2)  # phi: 11 splits in phi^10 - 1
+def test_power_triples_match_the_whole_triple(fd, a, b, n_from, width):
+    K, den = fd
+    if K is None:
+        b = 0
+    g = qelem(K, a, b, den)
+    if g.is_zero() or is_torsion(g):
+        return
+    try:
+        rows = power_triples(g, n_from, n_from + width)
+        want = _whole_triple_rows(g, n_from, n_from + width)
+    except FactorizationError:
+        reject()  # a cofactor that neither rho nor p-1 splits: nothing to compare
+    assert list(map(repr, rows)) == list(map(repr, want))
+
+
+def test_power_triples_factor_only_gamma_and_each_cyclotomic_value(monkeypatch):
+    g = qelem(K13, 1, 2, 3)  # (2+sqrt13)/3
+    whole, per_d = [], []
+    real = quadrec.heights.ideal_factors
+    monkeypatch.setattr(quadrec.heights, "ideal_factors",
+                        lambda x: whole.append(x) or real(x))
+    monkeypatch.setattr(quadrec.certificates, "ideal_factors",
+                        lambda x, index: per_d.append((x, index)) or real(x, index))
+    power_triples(g, 1, 12)
+    assert whole == [g]  # 1 - g^n is never factored whole
+    assert [d for _, d in per_d] == list(range(1, 13))  # each Phi_d once
+    assert all(x == cyclotomic_value(g, d) for x, d in per_d)
+
+
+def test_abc_quality_factors_each_coordinate_once(monkeypatch):
+    seen = []
+    real = quadrec.heights.ideal_factors
+    monkeypatch.setattr(quadrec.heights, "ideal_factors",
+                        lambda x: seen.append(x) or real(x))
+    assert abs(abc_quality(1, 80, -81) - math.log(81) / math.log(30)) < TOL
+    assert seen == [as_element(1), as_element(80), as_element(-81)]
+
+
+@pytest.mark.parametrize("base, msg", [(0, "zero base"),
+                                       (-1, "non-torsion"),
+                                       (qelem(KM1, 0, 1), "non-torsion")])
+def test_power_triples_refuse_zero_and_torsion_bases(monkeypatch, base, msg):
+    monkeypatch.setattr(quadrec.heights, "ideal_factors", None)  # never reached
+    with pytest.raises(UsageError, match=msg):
+        power_triples(base, 1, 3)
