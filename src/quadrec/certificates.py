@@ -100,10 +100,12 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
             continue  # no order/Wieferich verdicts at ramified primes
         x = reduce(g, (P, 1))
         if not _has_order(x, n, n_primes):
+            try:
+                order = multiplicative_order(x)
+            except FactorizationError:  # p - 1 did not factor
+                order = "unknown"
             raise InvariantBreachError(
-                f"certificate order failure at {P.label()}: "
-                f"ord={multiplicative_order(x)}, n={n}"
-            )
+                f"certificate order failure at {P.label()}: ord={order}, n={n}")
         k_p = fermat_quotient_residue(g, P)
         if k_p == 0:
             raise InvariantBreachError(
@@ -122,11 +124,10 @@ def _has_order(x: ResidueElement, n: int, n_primes) -> bool:
 @dataclass(frozen=True)
 class CertifiedCount:
     count: int
-    per_n: tuple[tuple[int, tuple[str, ...]], ...]  # witness index -> kept primes
     # indices whose Phi_n(gamma) neither rho nor p-1 split within the budget
     skipped: tuple[int, ...]
     # the kept certificates (norm <= bound), in emission order
-    certificates: tuple[NonWieferichCertificate, ...] = ()
+    certificates: tuple[NonWieferichCertificate, ...]
 
 
 def witness_limit(gamma, bound: int) -> int:
@@ -187,14 +188,13 @@ def certified_count(gamma, bound: int) -> CertifiedCount:
     g = as_element(gamma)
     n_max = witness_limit(g, bound)
     seen: dict[str, int] = {}
-    per_n, skipped, certs_kept = [], [], []
+    skipped, certs_kept = [], []
     for n in range(1, n_max + 1):
         try:
             certs = certificate_for_n(g, n)
         except FactorizationError:
             skipped.append(n)
             continue
-        labels = []
         for c in certs:
             lbl = c.prime_ideal.label()
             if seen.setdefault(lbl, n) != n:
@@ -202,8 +202,5 @@ def certified_count(gamma, bound: int) -> CertifiedCount:
                     f"prime {lbl} certified by both n={seen[lbl]} and n={n}"
                 )
             if c.prime_ideal.norm <= bound:
-                labels.append(lbl)
                 certs_kept.append(c)
-        per_n.append((n, tuple(labels)))
-    return CertifiedCount(len(certs_kept), tuple(per_n), tuple(skipped),
-                          tuple(certs_kept))
+    return CertifiedCount(len(certs_kept), tuple(skipped), tuple(certs_kept))

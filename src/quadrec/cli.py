@@ -208,10 +208,15 @@ def _build_parser() -> _Parser:
 _PRESETS = {"fibonacci": fibonacci_tuple, "lucas": lucas_tuple}
 
 
-def _tuple_parts(spec: str, field_d: Optional[int]
-                 ) -> tuple[list[QuadraticElement], list[QuadraticElement]]:
-    """Roots and weights of a 'r1,r2;w1,w2' spec, parsed, checked and put
-    in one field."""
+def _resolve_tuple(spec: str, field_d: Optional[int]) -> RecurrenceTuple:
+    """The tuple of a preset name or of a 'r1,r2;w1,w2' spec, its literals
+    parsed, checked and put in one field."""
+    if spec in _PRESETS:
+        t = _PRESETS[spec]()
+        if field_d is not None and field_d != t.field().d:
+            raise UsageError(f"preset {spec} uses sqrt({t.field().d}) "
+                             f"but --field-d is {field_d}")
+        return t
     if ";" not in spec:
         raise UsageError("tuple must be a preset name or 'roots;weights'")
     roots, weights = ([parse_quadratic(s, field_d) for s in part.split(",") if s]
@@ -219,25 +224,8 @@ def _tuple_parts(spec: str, field_d: Optional[int]
     if not roots or len(roots) != len(weights):
         raise UsageError("tuple needs equally many roots and weights")
     xs = as_elements(roots + weights)
-    return xs[:len(roots)], xs[len(roots):]
-
-
-def _canonical_tuple_spec(spec: str, field_d: Optional[int]) -> str:
-    if spec in _PRESETS:
-        d = _PRESETS[spec]().field().d
-        if field_d is not None and field_d != d:
-            raise UsageError(
-                f"preset {spec} uses sqrt({d}) but --field-d is {field_d}")
-        return spec
-    return ";".join(",".join(format_quadratic(x) for x in xs)
-                    for xs in _tuple_parts(spec, field_d))
-
-
-def _resolve_tuple(spec: str, field_d: Optional[int]) -> RecurrenceTuple:
-    if spec in _PRESETS:
-        return _PRESETS[spec]()
-    roots, weights = _tuple_parts(spec, field_d)
-    return RecurrenceTuple(tuple(roots), tuple(weights), name="custom")
+    return RecurrenceTuple(tuple(xs[:len(roots)]), tuple(xs[len(roots):]),
+                           name="custom")
 
 
 def parse_args(argv) -> RunConfig:
@@ -259,8 +247,9 @@ def parse_args(argv) -> RunConfig:
         fields["base"] = format_quadratic(
             parse_quadratic(ns.base, fields.get("field_d")))
     if getattr(ns, "tuple_spec", None) is not None:
-        fields["tuple_spec"] = _canonical_tuple_spec(
-            ns.tuple_spec, fields.get("field_d"))
+        t = _resolve_tuple(ns.tuple_spec, fields.get("field_d"))
+        fields["tuple_spec"] = t.name if t.name in _PRESETS else ";".join(
+            ",".join(map(format_quadratic, xs)) for xs in (t.a, t.b))
     if getattr(ns, "gens", None):
         fields["gens"] = tuple(map(format_quadratic, as_elements(
             [parse_quadratic(s, fields.get("field_d")) for s in ns.gens])))
@@ -344,15 +333,13 @@ _HIT_FIELDS = {"search-wss": ["p", "pi_p", "pi_p2"],
                "search-wieferich": ["p", "ideals", "aggregate"]}
 
 
-def _predicate(kind: str, base: Optional[str], field_d: Optional[int]):
-    if kind == "search-wss":
-        return wall_predicate()
-    return wieferich_predicate(parse_quadratic(base, field_d), field_d)
+def _predicate(kind: str, base: Optional[QuadraticElement]):
+    return wall_predicate() if kind == "search-wss" else wieferich_predicate(base)
 
 
 def _scan_shard(spec: tuple) -> tuple[list, int]:
-    kind, base, field_d, lo, hi = spec
-    ck = search_range(_predicate(kind, base, field_d), lo, hi)
+    kind, base, lo, hi = spec
+    ck = search_range(_predicate(kind, base), lo, hi)
     return ck.hits, ck.primes_scanned
 
 
@@ -361,14 +348,15 @@ def _cmd_search(cfg: RunConfig, out) -> None:
         raise UsageError("--resume needs --checkpoint")
     if cfg.workers > 1 and cfg.checkpoint:
         raise UsageError("checkpointing requires --workers 1")
+    base = None if cfg.base is None else parse_quadratic(cfg.base, cfg.field_d)
     if cfg.workers == 1:
-        ck = search_range(_predicate(cfg.subcommand, cfg.base, cfg.field_d),
-                          cfg.lo, cfg.hi, cfg.checkpoint, resume=cfg.resume)
+        ck = search_range(_predicate(cfg.subcommand, base), cfg.lo, cfg.hi,
+                          cfg.checkpoint, resume=cfg.resume)
         hits, scanned = ck.hits, ck.primes_scanned
     else:
         check_range(cfg.lo, cfg.hi)
         chunk = max(1, -(-(cfg.hi - cfg.lo) // cfg.workers))
-        shards = [(cfg.subcommand, cfg.base, cfg.field_d, a, min(cfg.hi, a + chunk))
+        shards = [(cfg.subcommand, base, a, min(cfg.hi, a + chunk))
                   for a in range(cfg.lo, cfg.hi, chunk)]
         hits, scanned = [], 0
         # with fork the pool starts every worker up front, so ask for no

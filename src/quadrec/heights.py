@@ -97,18 +97,6 @@ def element_height(x) -> float:
     return triple_height(g, 1, 1)
 
 
-def archimedean_height_sum(x) -> float:
-    """Sum of the local contributions over the infinite places only."""
-    g = as_element(x)
-    if g.is_zero():
-        raise UsageError("zero has no archimedean contribution")
-    with mpmath.workprec(PRECISION):
-        total = mpmath.mpf(0)
-        for pv in _infinite_places(g):
-            total += max(pv.log_value(), mpmath.mpf(0))
-        return float(total / _degree(g.field))
-
-
 def log_norm(obj) -> float:
     """log|N(.)| / [K:Q] of a prime ideal or a nonzero element."""
     with mpmath.workprec(PRECISION):
@@ -215,13 +203,15 @@ def _quality(h: float, r: float) -> float:
 @dataclass(frozen=True)
 class PhiRatio:
     ratio: float   # log-norm of the cyclotomic value over phi(n)
-    target: float  # archimedean height sum of the base, the n -> inf limit
+    target: float  # h(gamma : 1) at the infinite places, the n -> inf limit
 
 
 def phi_norm_ratio(gamma, n: int) -> PhiRatio:
     g = as_element(gamma)
+    if g.is_zero():
+        raise UsageError("zero has no archimedean contribution")
     ratio = log_norm(cyclotomic_value(g, n)) / euler_phi(n)
-    return PhiRatio(ratio, archimedean_height_sum(g))
+    return PhiRatio(ratio, _height_radical(as_elements((g, 1)), [[], []])[0])
 
 
 def totient_density(Y: int, delta: float) -> tuple[int, float]:

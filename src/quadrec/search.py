@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import CheckpointError, InvariantBreachError, UsageError
 from .ring import (_prime_ideals_above, as_element, field_norm, ideal_factors,
-                   is_prime, iter_primes, quadratic_field)
+                   is_prime, iter_primes)
 from .wieferich import (fermat_quotient_residue, lucas_screen,
                         wall_period_test, wss_divisibility_test, wss_screen)
 
@@ -183,8 +183,11 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
 # the two stock predicates
 
 
-def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
+def wieferich_predicate(base) -> SearchPredicate:
     """Hits are primes where base is Wieferich at some unramified ideal.
+
+    params name the base and its field's d (None over Q), since str(base)
+    is written on the basis (1, w) and does not say which field w is in.
 
     One hit record per qualifying ideal; `aggregate` is set when every
     admissible ideal above p qualifies at once.  An ideal is admissible
@@ -204,8 +207,7 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     is a hit.  The screen is exact at good primes, so a screened prime
     with no hit is a bug.  verify takes the ideal route alone.
     """
-    fld = quadratic_field(field_d) if field_d is not None else None
-    g = as_element(base, fld)
+    g = as_element(base)
     if g.is_zero():
         raise UsageError("zero base has no Wieferich primes")
     support = {P.label() for P, _ in ideal_factors(g)}
@@ -258,9 +260,9 @@ def wieferich_predicate(base, field_d: Optional[int] = None) -> SearchPredicate:
     def verify(hit: dict) -> bool:
         return is_prime(hit["p"]) and route(hit["p"]) == hit
 
+    d = None if g.field is None else g.field.d
     return SearchPredicate(
-        "alpha-wieferich", {"base": str(g), "d": field_d}, test, verify
-    )
+        "alpha-wieferich", {"base": str(g), "d": d}, test, verify)
 
 
 def wall_predicate() -> SearchPredicate:

@@ -171,11 +171,11 @@ def test_certificates_reject_torsion():
 
 
 def test_certified_count_frozen():
+    assert witness_limit(2, 1000) == 8  # n = 1 and 6 certify nothing
     cc = certified_count(2, 1000)
     assert cc.count == 6
-    got = {n: set(labels) for n, labels in cc.per_n}
-    assert got == {1: set(), 2: {"3"}, 3: {"7"}, 4: {"5"}, 5: {"31"},
-                   6: set(), 7: {"127"}, 8: {"17"}}
+    assert [(c.n, c.prime_ideal.label()) for c in cc.certificates] == [
+        (2, "3"), (3, "7"), (4, "5"), (5, "31"), (7, "127"), (8, "17")]
     assert cc.skipped == ()
 
 
@@ -183,8 +183,7 @@ def test_certified_count_keeps_certificates_in_order():
     cc = certified_count(2, 100)
     assert [(c.n, c.p) for c in cc.certificates] == [(2, 3), (3, 7), (4, 5),
                                                      (5, 31)]
-    assert [c.prime_ideal.label() for c in cc.certificates] == [
-        lbl for _, labels in cc.per_n for lbl in labels]
+    assert cc.count == len(cc.certificates)
     assert all(c.prime_ideal.norm <= 100 for c in cc.certificates)
 
 
@@ -203,7 +202,8 @@ def test_witness_limit_exact_at_rational_boundary(gamma, n):
 def test_certified_count_small_bounds():
     assert certified_count(2, 1).count == 0
     assert certified_count(2, 2).count == 0
-    assert certified_count(2, 7).per_n == ((1, ()),)  # n_max = 1
+    assert witness_limit(2, 7) == 1
+    assert certified_count(2, 7).certificates == ()
 
 
 def test_certified_count_monotone():
@@ -330,3 +330,19 @@ def test_failed_order_proof_reports_the_measured_order(monkeypatch):
     monkeypatch.setattr(mod, "_has_order", lambda x, n, n_primes: False)
     with pytest.raises(InvariantBreachError, match=r"ord=10, n=10"):
         certificate_for_n(2, 10)  # Phi_10(2) = 11, where 2 has order 10
+
+
+def test_failed_order_proof_is_a_breach_when_p_minus_1_does_not_factor(
+        monkeypatch):
+    # the message's measured order needs p - 1 factored; without it the
+    # breach still stands, and the index is not recorded as skipped
+    import quadrec.certificates as mod
+    import quadrec.periods
+
+    def refuse(*args):
+        raise FactorizationError("p - 1 does not split")
+
+    monkeypatch.setattr(mod, "_has_order", lambda x, n, n_primes: False)
+    monkeypatch.setattr(quadrec.periods, "factorize", refuse)
+    with pytest.raises(InvariantBreachError, match=r"at 3: ord=unknown, n=2"):
+        certified_count(2, 1000)

@@ -16,6 +16,7 @@ from quadrec.errors import (CheckpointError, FactorizationError, QuadrecError,
                             ResourceLimitError, UsageError)
 from quadrec.ring import (as_element, prime_ideals_above, qelem,
                           quadratic_field, sqrt_element)
+from quadrec.search import search_range, wieferich_predicate
 
 K5 = quadratic_field(5)
 K2 = quadratic_field(2)
@@ -115,6 +116,7 @@ def test_parse_args_rejects():
                  ["period", "--tuple", "fibonacci", "--mod", "0"],
                  ["period", "--tuple", "nope", "--mod", "7"],
                  ["period", "--tuple", "2,3;1", "--mod", "7"],
+                 ["period", "--tuple", "0,1;1,1", "--mod", "7"],  # zero root
                  ["search-wss", "--to", "50", "--workers", "0"],
                  ["search-wieferich", "--to", "50"],  # --base required
                  ["search-wss"],                      # --to required
@@ -417,6 +419,27 @@ def test_search_checkpoint_config_mismatch_exits_6(capsys, tmp_path):
     code, _, err = run_cli(capsys, "search-wieferich", "--base", "2",
                            "--to", "6000", "--checkpoint", ck, "--resume")
     assert code == 6 and "error:" in err
+
+
+def test_search_resume_across_fields_exits_6(capsys, tmp_path):
+    # str(w) is the same in every field, so the checkpoint hash names the
+    # base's field: phi's checkpoint is refused for (1+sqrt(13))/2 and is
+    # resumed by phi given with or without --field-d
+    ck = str(tmp_path / "w.jsonl")
+    phi = "(1+sqrt(5))/2"
+    search_range(wieferich_predicate(parse_quadratic(phi)), 2, 20000, ck,
+                 stop_after=100)
+    code, out, err = run_cli(capsys, "search-wieferich", "--base",
+                             "(1+sqrt(13))/2", "--to", "20000",
+                             "--checkpoint", ck, "--resume")
+    assert (code, out) == (6, "")
+    assert "checkpoint belongs to a different configuration" in err
+    _, straight, _ = run_cli(capsys, "search-wieferich", "--base", phi,
+                             "--to", "20000")
+    code, out, _ = run_cli(capsys, "search-wieferich", "--base", phi,
+                           "--field-d", "5", "--to", "20000",
+                           "--checkpoint", ck, "--resume")
+    assert code == 0 and out == straight
 
 
 def _drop_stats(rec):

@@ -13,7 +13,6 @@ from quadrec.errors import FactorizationError, UsageError
 from quadrec.heights import (
     _quality,
     abc_quality,
-    archimedean_height_sum,
     element_height,
     local_values,
     log_norm,
@@ -253,6 +252,25 @@ def test_phi_norm_ratio_quadratic_target():
     r = phi_norm_ratio(g, 30)
     assert abs(r.target - math.log((1 + math.sqrt(5)) / 2)) < 1e-9
     assert abs(phi_norm_ratio(3, 60).ratio - math.log(3)) < 0.1
+
+
+@pytest.mark.parametrize("gamma, target", [
+    (2, "0.6931471805599453"),
+    (Fraction(3, 2), "0.4054651081081644"),
+    (PHI, "0.24060591252980174"),
+    (qelem(K2, 1, 1), "0.4406867935097715"),
+    (qelem(KM1, 1, 1), "0.34657359027997264"),
+    (qelem(quadratic_field(-7), 0, 1), "0.34657359027997264"),
+], ids=["two", "three-halves", "phi", "one-plus-sqrt-2", "one-plus-i",
+        "half-one-plus-sqrt-minus-7"])
+def test_phi_norm_ratio_target_is_pinned(gamma, target):
+    # h(gamma : 1) at the infinite places, pinned to the last bit
+    assert repr(phi_norm_ratio(gamma, 3).target) == target
+
+
+def test_phi_norm_ratio_refuses_zero():
+    with pytest.raises(UsageError, match="zero has no archimedean contribution"):
+        phi_norm_ratio(0, 3)
 
 
 def test_phi_norm_lower_bound():

@@ -118,8 +118,9 @@ def test_the_rank_path_names_nothing_inexact(src: pathlib.Path = SRC):
 
 
 # option name -> the modules whose functions may still take it with a default
-BANNED_OPTIONS = {"field": {"ring.py"}, "precision": set(),
-                  "rho_budget": set(), "segment": set(), "budget": set()}
+BANNED_OPTIONS = {"field": {"ring.py"}, "field_d": {"cli.py"},
+                  "precision": set(), "rho_budget": set(), "segment": set(),
+                  "budget": set()}
 
 
 def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
@@ -232,10 +233,17 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     (tmp_path / "heights.py").write_text(
         "def radical(x, field=None):\n    return x\n"
         "def height(x, *, field=None, precision=128):\n    return x\n"
-        "def degree(field):\n    return 2\n", encoding="utf-8")
+        "def degree(field):\n    return 2\n"
+        "def wieferich_predicate(base, field_d=None):\n    return base\n",
+        encoding="utf-8")
+    (tmp_path / "cli.py").write_text(
+        "def parse_quadratic(text, field_d=None):\n    return text\n",
+        encoding="utf-8")
     with pytest.raises(AssertionError, match=re.escape(
             "['heights.py:radical:field', 'heights.py:height:field', "
-            "'heights.py:height:precision', 'ring.py:log_norm:precision', "
+            "'heights.py:height:precision', "
+            "'heights.py:wieferich_predicate:field_d', "
+            "'ring.py:log_norm:precision', "
             "'ring.py:factorize:rho_budget', 'ring.py:iter_primes:segment', "
             "'ring.py:_state_period:budget']")):
         test_only_ring_takes_a_field_option(tmp_path)

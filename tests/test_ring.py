@@ -236,7 +236,7 @@ def test_sieved_and_factored_primes_are_not_proved_again(monkeypatch):
     expected_counts([2, 3], [10 ** 4])
     count_non_wieferich(PHI, 2000)
     ideal_factorization(K5, 2 * 3 * 7 * 11 * 10007)
-    test = wieferich_predicate(PHI, 5).test
+    test = wieferich_predicate(PHI).test
     for p in oracles.primes_below(500):
         test(p)
     assert calls == []

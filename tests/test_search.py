@@ -64,9 +64,9 @@ def test_quadratic_base_scan_runs():
     from quadrec.ring import qelem, quadratic_field
 
     phi = qelem(quadratic_field(5), 0, 1)
-    ck = search_range(wieferich_predicate(phi, field_d=5), 2, 200)
+    ck = search_range(wieferich_predicate(phi), 2, 200)
     # any hit must survive its own verifier
-    pred = wieferich_predicate(phi, field_d=5)
+    pred = wieferich_predicate(phi)
     assert all(pred.verify(h) for h in ck.hits)
 
 
@@ -86,12 +86,12 @@ def _hit_by_valuation(g, p):
 def test_predicate_support_rule_matches_the_valuation_rule():
     from quadrec.ring import as_element, qelem, quadratic_field
 
-    bases = [(2, None), (6, None),
-             (qelem(quadratic_field(5), 0, 1), 5),    # (1+sqrt 5)/2
-             (qelem(quadratic_field(2), 1, 2), 2),    # 1+2*sqrt 2
-             (qelem(quadratic_field(-7), 0, 1), -7)]  # (1+sqrt -7)/2
-    for g, d in bases:
-        test = wieferich_predicate(g, d).test
+    bases = [2, 6,
+             qelem(quadratic_field(5), 0, 1),   # (1+sqrt 5)/2
+             qelem(quadratic_field(2), 1, 2),   # 1+2*sqrt 2
+             qelem(quadratic_field(-7), 0, 1)]  # (1+sqrt -7)/2
+    for g in bases:
+        test = wieferich_predicate(g).test
         for p in oracles.primes_below(3000):
             assert test(p) == _hit_by_valuation(as_element(g), p), (str(g), p)
 
@@ -135,18 +135,17 @@ def test_quadratic_hits_match_the_ideal_route_at_every_p(d, a, b, den):
     # Fermat quotient at every admissible ideal of every p, bad or good
     assume(a or b)
     g = qelem(quadratic_field(d), a, b, den)
-    got = search_range(wieferich_predicate(g, d), 2, 5000).hits
+    got = search_range(wieferich_predicate(g), 2, 5000).hits
     want = [hit for p in oracles.primes_below(5000)
             if (hit := _hit_by_valuation(g, p)) is not None]
     assert got == want
 
 
-@pytest.mark.parametrize("base, d, seen", [
-    (qelem(K5, 0, 1), 5, ["2i"]),
-    (qelem(quadratic_field(2), 1, 1), 2, ["13i", "31a", "31b"]),
+@pytest.mark.parametrize("base, seen", [
+    (qelem(K5, 0, 1), ["2i"]),
+    (qelem(quadratic_field(2), 1, 1), ["13i", "31a", "31b"]),
 ], ids=["phi", "one-plus-sqrt-2"])
-def test_quotients_run_only_at_bad_and_screened_primes(monkeypatch, base, d,
-                                                       seen):
+def test_quotients_run_only_at_bad_and_screened_primes(monkeypatch, base, seen):
     # phi: 2 is its one bad prime with an admissible ideal (5 ramifies),
     # and no good prime passes the screen.  1+sqrt 2: 2 ramifies, and the
     # screen passes exactly the hits 13 and 31.
@@ -154,20 +153,20 @@ def test_quotients_run_only_at_bad_and_screened_primes(monkeypatch, base, d,
     real = search.fermat_quotient_residue
     monkeypatch.setattr(search, "fermat_quotient_residue",
                         lambda g, P: calls.append(P.label()) or real(g, P))
-    search_range(wieferich_predicate(base, d), 2, 3000)
+    search_range(wieferich_predicate(base), 2, 3000)
     assert calls == seen
 
 
 def test_wieferich_predicate_flags_a_screen_the_ideals_contradict(monkeypatch):
     monkeypatch.setattr(search, "lucas_screen", lambda *args: True)
-    pred = wieferich_predicate(qelem(K5, 0, 1), 5)
+    pred = wieferich_predicate(qelem(K5, 0, 1))
     assert pred.test(2) is None and pred.test(5) is None  # bad: no screen
     with pytest.raises(InvariantBreachError, match="p=3 passes"):
         pred.test(3)
 
 
 def test_verify_takes_the_ideal_route_alone(monkeypatch):
-    pred = wieferich_predicate(qelem(quadratic_field(2), 1, 1), 2)
+    pred = wieferich_predicate(qelem(quadratic_field(2), 1, 1))
     hit = pred.test(13)
     monkeypatch.setattr(search, "lucas_screen", lambda *args: False)
     assert pred.test(13) is None
@@ -202,7 +201,8 @@ def test_rational_base_hits_match_the_ideal_route_and_plain_pow(a, b):
     (as_element(1, K5), 5, {"p": 21, "ideals": ["21i"], "aggregate": True}),
 ])
 def test_verify_rejects_a_hit_at_a_composite_p(base, d, hit):
-    pred = wieferich_predicate(base, d)
+    pred = wieferich_predicate(base)
+    assert pred.params["d"] == d  # the field is read from the base
     # test trusts its p to be prime and would rebuild the tampered record
     assert pred.test(hit["p"]) == hit
     assert pred.verify(hit) is False
@@ -237,9 +237,9 @@ def test_resume_rejects_a_stored_hit_at_a_composite_p(tmp_path):
     (lambda: wieferich_predicate(Fraction(-3, 7)), 5000,
      "9896a422669c6dbb", "58ab565e315d149c"),
     (wall_predicate, 5000, "1523644665af2ee7", "e39201ddda3913a3"),
-    (lambda: wieferich_predicate(qelem(K5, 0, 1), 5), 20000,
+    (lambda: wieferich_predicate(qelem(K5, 0, 1)), 20000,
      "105453c8bd995207", "5bdcc1331d1e2930"),
-    (lambda: wieferich_predicate(qelem(quadratic_field(-1), 1, 1), -1), 5000,
+    (lambda: wieferich_predicate(qelem(quadratic_field(-1), 1, 1)), 5000,
      "c1684321189e56b6", "399eb09f84f96aa1"),
 ], ids=["base-2", "base-minus-3-over-7", "wall", "phi", "one-plus-i"])
 def test_config_hash_and_checkpoint_bytes_are_pinned(tmp_path, make, hi,
@@ -345,6 +345,14 @@ def test_predicate_hash_stability():
     c = predicate_config_hash(wieferich_predicate(2), 2, 101)
     d = predicate_config_hash(wieferich_predicate(3), 2, 100)
     assert a == b and a != c and a != d
+
+
+def test_predicate_hash_names_the_base_field():
+    # w prints the same in every field, so only the field tells these apart
+    ws = [qelem(quadratic_field(d), 0, 1) for d in (5, 13, 2, 3)]
+    assert len({str(w) for w in ws}) == 1
+    assert len({predicate_config_hash(wieferich_predicate(w), 2, 1000)
+                for w in ws}) == 4
 
 
 def test_custom_predicate_roundtrip(tmp_path):
