@@ -35,27 +35,26 @@ from .search import (_dumps, check_range, search_range, wall_predicate,
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
 _POSRAT = r"\d+(?:/\d+)?"
-_ROOT = (rf"(?P<rsign>[+-])?(?:(?P<coef>{_POSRAT})\*)?"
-         rf"sqrt\((?P<d>-?\d+)\)")
-_SUM = (rf"(?P<a>{_RAT})(?P<sign>[+-])"
-        rf"(?:(?P<coef>{_POSRAT})\*)?sqrt\((?P<d>-?\d+)\)")
+_QUAD = (rf"(?:(?P<a>{_RAT})(?=[+-]))?(?P<sign>[+-])?"
+         rf"(?:(?P<coef>{_POSRAT})\*)?sqrt\((?P<d>-?\d+)\)")
+
+
+def _fraction(s: str) -> Fraction:
+    """The rational that CLI text s names, a zero denominator a usage error."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {s!r}") from None
 
 
 def _parse_body(s: str) -> tuple[Fraction, Fraction, Optional[int]]:
     if re.fullmatch(_RAT, s):
-        return Fraction(s), Fraction(0), None
-    m = re.fullmatch(_ROOT, s)
+        return _fraction(s), Fraction(0), None
+    m = re.fullmatch(_QUAD, s)
     if m:
-        coef = Fraction(m["coef"]) if m["coef"] else Fraction(1)
-        if m["rsign"] == "-":
-            coef = -coef
-        return Fraction(0), coef, int(m["d"])
-    m = re.fullmatch(_SUM, s)
-    if m:
-        coef = Fraction(m["coef"]) if m["coef"] else Fraction(1)
-        if m["sign"] == "-":
-            coef = -coef
-        return Fraction(m["a"]), coef, int(m["d"])
+        coef = _fraction(m["coef"] or "1")
+        return (_fraction(m["a"] or "0"), -coef if m["sign"] == "-" else coef,
+                int(m["d"]))
     raise UsageError(f"malformed quadratic literal {s!r}")
 
 

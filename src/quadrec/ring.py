@@ -172,7 +172,7 @@ def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
 
 
 def _split(n: int, index: int) -> int:
-    """A factor d > 1 of composite n, not n: Brent rho raced against p-1.
+    """A factor d > 1 of odd composite n, not n: Brent rho raced against p-1.
 
     The method that has spent less work (modular squarings, or exponent
     bits, which cost a squaring each) runs next, so a split costs at most
@@ -180,8 +180,6 @@ def _split(n: int, index: int) -> int:
     squarings, p-1 after the primes up to B1 = RHO_BUDGET // 2; when both
     have stopped, or together they pass 2 * RHO_BUDGET, FactorizationError.
     """
-    if n % 2 == 0:
-        return 2
     r = math.isqrt(n)
     if r * r == n:
         return r

@@ -1,9 +1,9 @@
 """Resumable prime-range searches with append-only JSON-line checkpoints.
 
 A checkpoint file holds one record per flush; only the last parseable line
-matters on resume (a torn final line from a crash is skipped).  Records are
-serialized with sorted keys and no whitespace so that an interrupted-and-
-resumed scan finishes with a final record byte-identical to a straight run.
+matters on resume, where a torn final line from a crash is skipped and
+closed with a newline.  Records have sorted keys and no whitespace, so a
+resumed scan ends with a final record byte-identical to a straight run's.
 """
 from __future__ import annotations
 
@@ -150,32 +150,32 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
             if not pred.verify(hit):
                 raise CheckpointError(f"stored hit fails re-verification: {hit}")
         ck = SearchCheckpoint(lo, hi, cursor, hits, scanned, h)
+        with open(checkpoint_path, "a+b") as fh:  # end a torn tail line
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
     elif checkpoint_path is not None and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)
 
-    def flush():
+    scanned, done = ck.primes_scanned, 0
+    test, hits = pred.test, ck.hits
+
+    def flush(cursor: int) -> None:
+        ck.cursor, ck.primes_scanned = cursor, scanned + done
         if checkpoint_path is not None:
             with open(checkpoint_path, "a", encoding="utf-8") as fh:
                 fh.write(ck.line() + "\n")
 
-    done = 0
-    since_flush = 0
     for p in iter_primes(ck.cursor, hi):
-        hit = pred.test(p)
-        if hit is not None:
-            ck.hits.append(hit)
-        ck.cursor = p + 1
-        ck.primes_scanned += 1
+        if (hit := test(p)) is not None:
+            hits.append(hit)
         done += 1
-        since_flush += 1
         if stop_after is not None and done >= stop_after:
-            flush()
+            flush(p + 1)
             return ck
-        if since_flush >= FLUSH_EVERY:
-            flush()
-            since_flush = 0
-    ck.cursor = hi
-    flush()
+        if done % FLUSH_EVERY == 0:
+            flush(p + 1)
+    flush(hi)
     return ck
 
 

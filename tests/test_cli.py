@@ -155,6 +155,26 @@ def test_literals_from_two_fields_exit_2(capsys, argv):
     assert "elements from different fields" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--gen", "1/0"],
+    ["heuristic", "--gen", "1/0", "--bound", "10"],
+    ["certify", "--base", "1/0*sqrt(5)", "--bound", "10"],
+    ["period", "--tuple", "1/0;1", "--mod", "7"],
+])
+def test_zero_denominator_in_a_literal_exits_2(capsys, argv):
+    # Fraction raised ZeroDivisionError: a traceback and exit 1
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("text", ["1/0+sqrt(5)", "2-1/0*sqrt(5)",
+                                  "(3/0-sqrt(2))/2"])
+def test_every_rational_part_refuses_a_zero_denominator(text):
+    with pytest.raises(UsageError, match="zero denominator in '[13]/0'"):
+        parse_quadratic(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands end to end
 
@@ -412,6 +432,15 @@ def test_search_checkpoint_resume(capsys, tmp_path):
     assert code == 0 and second == first  # resumed run replays the same hits
 
 
+def test_search_missing_checkpoint_exits_6(capsys, tmp_path):
+    missing = str(tmp_path / "missing.jsonl")
+    code, out, err = run_cli(capsys, "search-wieferich", "--base", "2",
+                             "--to", "5000", "--checkpoint", missing,
+                             "--resume")
+    assert (code, out) == (6, "")
+    assert err.startswith(f"error: cannot read checkpoint {missing}")
+
+
 def test_search_checkpoint_config_mismatch_exits_6(capsys, tmp_path):
     ck = str(tmp_path / "w.jsonl")
     run_cli(capsys, "search-wieferich", "--base", "2", "--to", "5000",
@@ -611,6 +640,21 @@ def test_rank_and_heuristic_take_exponents_past_64(capsys):
     code, out, _ = run_cli(capsys, "heuristic", *gens, "--bound", "100")
     assert code == 0
     assert out == run_cli(capsys, "heuristic", "--gen", "2", "--bound", "100")[1]
+
+
+def test_rank_and_heuristic_take_relations_they_never_form(capsys):
+    # both commands used to exit 5 on the product of the relation
+    # (-124251, 124500, 124500, -125000), 655,092,943 bits
+    two, three, phi = as_element(2, K5), as_element(3, K5), qelem(K5, 0, 1)
+    gens = [a for x in (two ** 500 * phi ** 500, two ** 499,
+                        three ** 500 * phi ** 499, three ** 498)
+            for a in ("--gen", format_quadratic(x))]
+    code, out, _ = run_cli(capsys, "rank", *gens)
+    assert code == 0 and json.loads(out)["free_rank"] == "3"
+    code, out, _ = run_cli(capsys, "heuristic", *gens, "--bound", "1000")
+    assert code == 0
+    assert out == run_cli(capsys, "heuristic", "--gen", "2", "--gen", "3",
+                          "--gen", "(1+sqrt(5))/2", "--bound", "1000")[1]
 
 
 def test_heuristic_decades(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrec import dynamics
 from quadrec.dynamics import (
     _fundamental_unit,
     eigen_consistency,
@@ -94,6 +95,44 @@ def test_rank_takes_exponents_past_64():
     r = multiplicative_rank([PHI ** 100, PHI ** 3])
     assert (r.free_rank, r.torsion_relations) == (1, ((-3, 100),))
     assert r.kernel_basis == ((1, 0), (-3, 100))
+
+
+def _two_three_phi(a, b, c, e, f, g):
+    """[2^a*phi^b, 2^c, 3^e*phi^f, 3^g] in Q(sqrt5)."""
+    two, three = as_element(2, K5), as_element(3, K5)
+    return [two ** a * PHI ** b, two ** c, three ** e * PHI ** f, three ** g]
+
+
+def test_rank_certifies_relations_without_forming_them(monkeypatch):
+    # the relation's product would have 655,092,943 bits; the unit exponents
+    # of the two kernel products already prove it torsion
+    formed = []
+    real = dynamics._product
+    monkeypatch.setattr(dynamics, "_product",
+                        lambda gens, vec: formed.append(vec) or real(gens, vec))
+    start = time.perf_counter()
+    r = multiplicative_rank(_two_three_phi(500, 500, 499, 500, 499, 498))
+    assert time.perf_counter() - start < 10
+    assert r.support_primes == ("2i", "3i")
+    assert r.kernel_basis == ((499, -500, 0, 0),
+                              (-124251, 124500, 124500, -125000))
+    assert r.torsion_relations == ((-124251, 124500, 124500, -125000),)
+    assert r.free_rank == 3
+    assert formed == [(499, -500, 0, 0), (0, 0, 249, -250)]
+
+
+@given(st.lists(st.integers(-60, 60), min_size=6, max_size=6))
+@settings(max_examples=40)
+def test_rank_of_powers_of_two_three_and_phi(exps):
+    # 2, 3 and phi are independent modulo +-1, so w is a torsion relation
+    # exactly when the exponent matrix M over (2, 3, phi) maps it to zero
+    import sympy
+    a, b, c, e, f, g = exps
+    M = [[a, c, 0, 0], [0, 0, e, g], [b, 0, f, 0]]
+    r = multiplicative_rank(_two_three_phi(*exps))
+    assert r.free_rank == sympy.Matrix(M).rank()
+    for w in r.torsion_relations:
+        assert [sum(x * y for x, y in zip(row, w)) for row in M] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("d, want", [

@@ -18,7 +18,9 @@ the factorization budget, the sieve segment or a state loop's budget as an
 option: the first two are module constants and the last is derived from the
 modulus; a required parameter of those names stays allowed.  The free rank
 of a group is exact, so `multiplicative_rank` and its helpers name no log,
-float, rational approximation or archimedean place.
+float, rational approximation or archimedean place.  The test oracles must
+not share code with what they check, so tests/oracles.py imports only
+`math` and `fractions`.
 """
 import ast
 import pathlib
@@ -139,6 +141,18 @@ def test_only_ring_takes_a_field_option(src: pathlib.Path = SRC):
     assert found == [], f"banned options: {found}"
 
 
+def test_the_oracles_import_only_math_and_fractions(
+        path: pathlib.Path = ROOT / "tests" / "oracles.py"):
+    modules = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    extra = sorted(modules - {"math", "fractions"})
+    assert extra == [], f"{path.name} imports {extra}"
+
+
 def _definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and every non-dunder method."""
     out = []
@@ -247,6 +261,13 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "'ring.py:factorize:rho_budget', 'ring.py:iter_primes:segment', "
             "'ring.py:_state_period:budget']")):
         test_only_ring_takes_a_field_option(tmp_path)
+    (tmp_path / "oracles.py").write_text(
+        "import math\nfrom fractions import Fraction\n"
+        "from quadrec.ring import factorize\nimport sympy.ntheory\n"
+        "def brute(n):\n    from . import conftest\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "oracles.py imports ['.', 'quadrec.ring', 'sympy.ntheory']")):
+        test_the_oracles_import_only_math_and_fractions(tmp_path / "oracles.py")
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code
     (tmp_path / "src" / "quadrec").mkdir(parents=True)

@@ -18,6 +18,7 @@ from quadrec.search import (
     wall_predicate,
     wieferich_predicate,
 )
+from quadrec.wieferich import WallVerdict
 
 K5 = quadratic_field(5)
 
@@ -216,6 +217,18 @@ def test_wall_verify_rejects_a_hit_at_a_non_prime_p(hit):
     assert wall_predicate().verify(hit) is False
 
 
+def test_wall_verify_rejects_a_prime_whose_periods_differ():
+    assert wall_predicate().verify({"p": 7, "pi_p": 16, "pi_p2": 112}) is False
+
+
+def test_wall_verify_asks_the_second_detector(monkeypatch):
+    # Wall's test, patched to agree with the record, is overruled by
+    # wss_divisibility_test(7), which is False
+    monkeypatch.setattr(search, "wall_period_test",
+                        lambda p: WallVerdict(p, 16, 16, True))
+    assert wall_predicate().verify({"p": 7, "pi_p": 16, "pi_p2": 16}) is False
+
+
 def test_resume_rejects_a_stored_hit_at_a_composite_p(tmp_path):
     pred = wieferich_predicate(1)
     path = tmp_path / "composite.ckpt"
@@ -288,6 +301,19 @@ def test_resume_survives_torn_tail(tmp_path):
     ck = search_range(wieferich_predicate(2), 2, 4000, path, resume=True)
     assert ck.complete
     assert [h["p"] for h in ck.hits] == [1093, 3511]
+
+
+def test_resume_closes_a_torn_tail_before_the_next_record(tmp_path):
+    pred = wieferich_predicate(2)
+    straight = search_range(pred, 2, 50000, str(tmp_path / "a.ckpt"))
+    path = tmp_path / "b.ckpt"
+    search_range(pred, 2, 50000, str(path), stop_after=1000)
+    with open(path, "a") as fh:  # two blank lines, then a crash mid-write
+        fh.write('\n\n{"version": 1, "curs')
+    search_range(pred, 2, 50000, str(path), resume=True)
+    lines = path.read_text().split("\n")
+    assert lines[-5:] == ["", "", '{"version": 1, "curs', straight.line(), ""]
+    assert search._load_last_record(str(path)) == straight.record()
 
 
 def test_resume_rejects_garbage_file(tmp_path):
