@@ -1,5 +1,6 @@
 """Command-line front end: argument parsing, literal syntax, output
-serialization, and the worker pool for range-sharded searches.
+serialization, and the worker pool for range-sharded searches, which is
+imported only when a search asks for more than one worker.
 
 Output discipline: every numeric value in JSON goes out as a decimal string
 (floats via shortest round-trip repr), CSV streams carry a versioned schema
@@ -14,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
@@ -362,6 +362,7 @@ def _cmd_search(cfg: RunConfig, out) -> None:
         # more processes than there are shards or CPUs
         workers = min(cfg.workers, len(shards), os.cpu_count() or 1)
         if workers:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for shard_hits, shard_scanned in pool.map(_scan_shard, shards):
                     hits.extend(shard_hits)  # ordered shards keep hits sorted

@@ -2,7 +2,9 @@
 
 Every real-valued computation runs under a fixed 128-bit mantissa and is
 rounded to float only at the boundary.  Finite absolute values are kept
-exact as Fractions for as long as possible.
+exact as Fractions for as long as possible.  mpmath is imported inside
+the functions that call it, so a command that computes no height never
+loads it.
 """
 from __future__ import annotations
 
@@ -11,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import mpmath
 
 from .certificates import cyclotomic_factors, cyclotomic_value
 from .errors import UsageError
@@ -46,6 +46,7 @@ class PlaceValue:
     weight: int = 1
 
     def log_value(self):
+        import mpmath
         with mpmath.workprec(PRECISION):
             if isinstance(self.value, Fraction):
                 return mpmath.log(self.value.numerator) - mpmath.log(
@@ -58,6 +59,7 @@ def _degree(field: Optional[QuadraticField]) -> int:
 
 
 def _infinite_places(g: QuadraticElement) -> list[PlaceValue]:
+    import mpmath
     with mpmath.workprec(PRECISION):
         if g.field is None:
             return [PlaceValue("infinite", abs(Fraction(g.num_a, g.den)))]
@@ -99,6 +101,7 @@ def element_height(x) -> float:
 
 def log_norm(obj) -> float:
     """log|N(.)| / [K:Q] of a prime ideal or a nonzero element."""
+    import mpmath
     with mpmath.workprec(PRECISION):
         if isinstance(obj, PrimeIdealData):
             return float(mpmath.log(obj.norm) / _degree(obj.field))
@@ -123,6 +126,7 @@ def _valuation_rows(factor_lists) -> list[tuple[PrimeIdealData, list[int]]]:
 def _height_radical(xs, factor_lists) -> tuple[float, float]:
     """Height of the point xs and its radical, from one ideal_factors list
     per coordinate."""
+    import mpmath
     with mpmath.workprec(PRECISION):
         h = r = mpmath.mpf(0)
         for P, vrow in _valuation_rows(factor_lists):

@@ -7,6 +7,7 @@ resumed scan ends with a final record byte-identical to a straight run's.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -85,6 +86,17 @@ def predicate_config_hash(pred: SearchPredicate, lo: int, hi: int) -> str:
     return hashlib.sha256(_dumps(blob).encode()).hexdigest()[:16]
 
 
+@contextlib.contextmanager
+def _writing(path: str, mode: str):
+    """open(path, mode) on a checkpoint file, with an OSError from opening
+    or writing it raised as a CheckpointError."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+
+
 def _load_last_record(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,12 +162,13 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
             if not pred.verify(hit):
                 raise CheckpointError(f"stored hit fails re-verification: {hit}")
         ck = SearchCheckpoint(lo, hi, cursor, hits, scanned, h)
-        with open(checkpoint_path, "a+b") as fh:  # end a torn tail line
+        with _writing(checkpoint_path, "a+b") as fh:  # end a torn tail line
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
-    elif checkpoint_path is not None and os.path.exists(checkpoint_path):
-        os.remove(checkpoint_path)
+    elif checkpoint_path is not None:
+        with _writing(checkpoint_path, "wb"):  # empty it, before any work
+            pass
 
     scanned, done = ck.primes_scanned, 0
     test, hits = pred.test, ck.hits
@@ -163,8 +176,8 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
     def flush(cursor: int) -> None:
         ck.cursor, ck.primes_scanned = cursor, scanned + done
         if checkpoint_path is not None:
-            with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                fh.write(ck.line() + "\n")
+            with _writing(checkpoint_path, "ab") as fh:
+                fh.write(ck.line().encode() + b"\n")
 
     for p in iter_primes(ck.cursor, hi):
         if (hit := test(p)) is not None:

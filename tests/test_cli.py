@@ -409,7 +409,7 @@ def test_search_pool_is_capped(capsys, monkeypatch, workers, cpus, pool_size):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     _, serial, _ = run_cli(capsys, "search-wss", "--to", "2000")
     code, sharded, _ = run_cli(capsys, "search-wss", "--to", "2000",
@@ -439,6 +439,16 @@ def test_search_missing_checkpoint_exits_6(capsys, tmp_path):
                              "--resume")
     assert (code, out) == (6, "")
     assert err.startswith(f"error: cannot read checkpoint {missing}")
+
+
+@pytest.mark.parametrize("where", ["missing/x.jsonl", "."])
+def test_search_unwritable_checkpoint_exits_6(capsys, tmp_path, where):
+    # a missing directory, or a directory where the file should be
+    path = str(tmp_path / where)
+    code, out, err = run_cli(capsys, "search-wieferich", "--base", "2",
+                             "--to", "5000", "--checkpoint", path)
+    assert (code, out) == (6, "")
+    assert err.startswith(f"error: cannot write checkpoint {path}")
 
 
 def test_search_checkpoint_config_mismatch_exits_6(capsys, tmp_path):

@@ -20,7 +20,11 @@ modulus; a required parameter of those names stays allowed.  The free rank
 of a group is exact, so `multiplicative_rank` and its helpers name no log,
 float, rational approximation or archimedean place.  The test oracles must
 not share code with what they check, so tests/oracles.py imports only
-`math` and `fractions`.
+`math` and `fractions`.  Every command pays for what `import quadrec` loads,
+and mpmath and the process pool made up about a third of a cold start
+though only heights and `--workers` above 1 use them, so no module body
+imports mpmath, `concurrent.futures` or `multiprocessing`; the functions that
+need them import them.
 """
 import ast
 import pathlib
@@ -63,6 +67,28 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+LAZY = ("mpmath", "concurrent.futures", "multiprocessing")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_heavy_dependencies_load_on_first_use(path):
+    found, stack = [], list(_tree(path).body)
+    while stack:  # the module body, and class bodies, but no function body
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if any(name == m or name.startswith(m + ".") for m in LAZY)]
+    assert found == [], f"{path.name}: module-body imports {sorted(found)}"
 
 
 FORMULA_ROUTE = ("period_formula", "multiplicative_order", "pisano_prime_power",
@@ -203,6 +229,18 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     with pytest.raises(AssertionError,
                        match=r"unused imports \[\(1, 'os'\), \(2, 'gcd'\)\]"):
         test_no_unused_imports(bad)
+    lazy = tmp_path / "lazy.py"
+    lazy.write_text("import mpmath as mp\nfrom concurrent import futures\n"
+                    "from .mpmath import log\n"
+                    "def pool():\n    import multiprocessing\n"
+                    "class Shard:\n    from concurrent.futures import Future\n"
+                    "if mp:\n    import multiprocessing.pool\n",
+                    encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "lazy.py: module-body imports [(1, 'mpmath'), "
+            "(2, 'concurrent.futures'), (7, 'concurrent.futures.Future'), "
+            "(9, 'multiprocessing.pool')]")):
+        test_heavy_dependencies_load_on_first_use(lazy)
     (tmp_path / "periods.py").write_text("".join(
         f"def {f}(m):\n    return {'period_bruteforce(m)' if f == 'pisano' else 1}\n"
         for f in FORMULA_ROUTE), encoding="utf-8")

@@ -365,6 +365,18 @@ def test_fresh_run_truncates_stale_file(tmp_path):
     assert open(path).read() == first
 
 
+@pytest.mark.parametrize("where", ["missing/x.ckpt", "."])
+def test_unwritable_checkpoint_fails_before_the_scan(tmp_path, where):
+    # a missing directory, or a directory where the file should be
+    tested = []
+    pred = SearchPredicate("count", {}, lambda p: tested.append(p),
+                           lambda hit: True)
+    path = str(tmp_path / where)
+    with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+        search_range(pred, 2, 5000, path)
+    assert tested == []
+
+
 def test_predicate_hash_stability():
     a = predicate_config_hash(wieferich_predicate(2), 2, 100)
     b = predicate_config_hash(wieferich_predicate(2), 2, 100)
