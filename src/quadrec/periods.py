@@ -3,10 +3,13 @@
 A recurrence tuple (a_1..a_m; b_1..b_m) defines x_k = sum b_i a_i^k.  The
 closed formula gives the period modulo P^e as the lcm of the multiplicative
 orders of the a_i in the residue ring; period_bruteforce iterates the state
-vector instead and exists to keep the formula honest.
+vector instead and exists to keep the formula honest.  Each tuple builds
+its recurrence (coefficients and start state, from the closed form) and its
+degeneracy screen once, on first use; every modulus reads them from there.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,7 @@ from .ring import (
     as_element,
     as_elements,
     factorize,
+    field_norm,
     kronecker,
     qelem,
     quad_valuation,
@@ -61,6 +65,19 @@ class RecurrenceTuple:
             if x.field is not None:
                 return x.field
         return None
+
+    @functools.cached_property
+    def _recurrence(self) -> tuple[tuple[QuadraticElement, ...],
+                                   tuple[QuadraticElement, ...]]:
+        """(char_coefficients, initial_terms), expanded once per tuple."""
+        return char_coefficients(self), initial_terms(self)
+
+    @functools.cached_property
+    def _support(self) -> int:
+        """Product of den * |numerator of the norm| over every a_i and b_i:
+        each prime at which some entry has a nonzero valuation divides it."""
+        return math.prod(x.den * abs(field_norm(x).numerator)
+                         for x in self.a + self.b)
 
 
 @dataclass(frozen=True)
@@ -129,7 +146,13 @@ def initial_terms(t: RecurrenceTuple) -> tuple[QuadraticElement, ...]:
 
 
 def is_degenerate(t: RecurrenceTuple, P: PrimeIdealData) -> bool:
-    """True iff some generator or weight has nonzero valuation at P."""
+    """True iff some generator or weight has nonzero valuation at P.
+
+    v_P(x) != 0 needs p to divide x's denominator or the numerator of N(x),
+    so a p prime to the tuple's support is answered with no valuation.
+    """
+    if t._support % P.p:
+        return False
     return any(quad_valuation(x, P) != 0 for x in t.a + t.b)
 
 
@@ -196,42 +219,47 @@ def period_formula(t: RecurrenceTuple,
 
 
 def _int_state_period(cs: list[int], xs: list[int], mod: int, budget: int) -> int:
-    """First return of an integer state of order m <= 3.
+    """First return of an integer state of order m <= 3, within `budget` steps.
 
-    Orders below 3 get zero leading coefficients and a start state extended
-    by the recurrence, so one loop on the window (x_k, x_k+1, x_k+2) serves
-    all three; the window returns exactly when the order-m state does.
+    One loop per order, each shifting its m plain ints with no padding.
     """
-    pad, xs = 3 - len(cs), list(xs)
-    for _ in range(pad):
-        xs.append(sum(c * x for c, x in zip(cs, xs[-len(cs):])) % mod)
-    c0, c1, c2 = [0] * pad + list(cs)
-    s0, s1, s2 = xs
-    a, b, c, k = s0, s1, s2, 0
-    while True:
-        a, b, c = b, c, (c0 * a + c1 * b + c2 * c) % mod
-        k += 1
-        if a == s0 and b == s1 and c == s2:
-            return k
-        if k >= budget:
-            raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
+    if len(cs) == 1:
+        (c0,), (s0,) = cs, xs
+        a = s0
+        for k in range(1, budget + 1):
+            a = c0 * a % mod
+            if a == s0:
+                return k
+    elif len(cs) == 2:
+        (c0, c1), (s0, s1) = cs, xs
+        a, b = s0, s1
+        for k in range(1, budget + 1):
+            a, b = b, (c0 * a + c1 * b) % mod
+            if a == s0 and b == s1:
+                return k
+    else:
+        (c0, c1, c2), (s0, s1, s2) = cs, xs
+        a, b, c = s0, s1, s2
+        for k in range(1, budget + 1):
+            a, b, c = b, c, (c0 * a + c1 * b + c2 * c) % mod
+            if a == s0 and b == s1 and c == s2:
+                return k
+    raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
 
 
 def _pair_state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
                        wt: int, wn: int, mod: int, budget: int) -> int:
     """Same loop on (u, v) coordinates with w^2 = wt*w - wn."""
-    state, start, k = list(xs), list(xs), 0
-    while True:
+    state, start = list(xs), list(xs)
+    for k in range(1, budget + 1):
         nu, nv = 0, 0
         for (cu, cv), (su, sv) in zip(cs, state):
             nu += cu * su - wn * cv * sv
             nv += cu * sv + su * cv + wt * cv * sv
         state = state[1:] + [(nu % mod, nv % mod)]
-        k += 1
         if state == start:
             return k
-        if k >= budget:
-            raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
+    raise ResourceLimitError(f"no return within {budget} steps (mod {mod})")
 
 
 def _state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
@@ -239,9 +267,9 @@ def _state_period(cs: list[tuple[int, int]], xs: list[tuple[int, int]],
     """First return of a state of (u, v) pairs mod `mod`, w^2 = t*w - n.
 
     All-rational states (every v = 0) of order at most 3 take the integer
-    window loop, every other state the pair loop.  The budget is 6 times the
-    square of the state space of one entry: 6*mod^2 for rational states,
-    6*mod^4 for pairs.
+    loop of their order, every other state the pair loop.  The budget is 6
+    times the square of the state space of one entry: 6*mod^2 for rational
+    states, 6*mod^4 for pairs.
     """
     rational = all(v == 0 for _, v in cs + xs)
     budget = 6 * mod ** (2 if rational else 4)
@@ -287,11 +315,12 @@ def _pair_embedding(t: RecurrenceTuple, m: Modulus):
         def embed(x):
             return _to_pair(x, m)
     tr, nm = (fld.omega_trace, fld.omega_norm) if fld is not None else (0, 0)
-    cs = [embed(c) for c in char_coefficients(t)]
+    coeffs, terms = t._recurrence
+    cs = [embed(c) for c in coeffs]
     u, v = cs[0]
     if math.gcd(u * u + tr * u * v + nm * v * v, mod) != 1:
         raise DegenerateInputError(f"constant coefficient not a unit mod {label}")
-    return cs, [embed(x) for x in initial_terms(t)], (tr, nm, mod)
+    return cs, [embed(x) for x in terms], (tr, nm, mod)
 
 
 def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quadrec.certificates import (
     CertifiedCount,
     NonWieferichCertificate,
+    _has_order,
     certificate_for_n,
     certified_count,
     cyclotomic_value,
@@ -323,6 +324,15 @@ def test_order_proof_agrees_with_measured_order():
                 assert multiplicative_order(reduce(g, (c.prime_ideal, 1))) == n
                 seen += 1
         assert seen > 30
+
+
+def test_order_proof_refuses_a_wrong_order():
+    # 2 has order 5 mod 31 and 3 has order 30
+    (P,) = prime_ideals_above(None, 31)
+    two, three = reduce(2, (P, 1)), reduce(3, (P, 1))
+    assert _has_order(two, 5, [5])
+    assert not _has_order(two, 10, [2, 5])   # the order is n/r
+    assert not _has_order(three, 15, [3, 5])  # the order is 2n
 
 
 def test_failed_order_proof_reports_the_measured_order(monkeypatch):

@@ -33,6 +33,7 @@ from quadrec.ring import (
     as_element,
     prime_ideals_above,
     qelem,
+    quad_valuation,
     quadratic_field,
     reduce,
 )
@@ -104,6 +105,45 @@ def test_tuple_rejects_two_fields(route):
 # degeneracy
 
 
+K2 = quadratic_field(2)
+# 7 divides only a weight's denominator
+DEN7 = RecurrenceTuple(FIB.a, (qelem(K5, 1, 0, 7), as_element(1, K5)), "den7")
+# N(3 + sqrt 2) = 7: valuation 1 at one ideal above 7, 0 at the other
+NORM7 = RecurrenceTuple((qelem(K2, 3, 1), qelem(K2, 1, 1)),
+                        (as_element(1, K2), as_element(1, K2)), "norm7")
+
+
+@pytest.mark.parametrize("t", standard_battery() + [DEN7, NORM7],
+                         ids=lambda t: t.name)
+def test_degeneracy_screen_matches_the_valuations(t):
+    # every prime ideal above p < 200, split, inert and ramified alike; a
+    # rational tuple is also tried at the ideals of Q(sqrt 5)
+    fields = {t.field(), K5} if t.field() is None else {t.field()}
+    seen = set()
+    for fld in fields:
+        for p in oracles.primes_below(200):
+            for P in prime_ideals_above(fld, p):
+                want = any(quad_valuation(x, P) != 0 for x in t.a + t.b)
+                assert is_degenerate(t, P) == want, P.label()
+                seen.add(P.kind)
+    kinds = {"split", "inert", "ramified"}
+    assert seen == (kinds | {"rational"} if t.field() is None else kinds)
+
+
+def test_degeneracy_screen_skips_the_valuations(monkeypatch):
+    # 7 divides no denominator or norm of the Fibonacci tuple's entries
+    calls = []
+    real = quadrec.periods.quad_valuation
+    monkeypatch.setattr(quadrec.periods, "quad_valuation",
+                        lambda x, P: calls.append(P) or real(x, P))
+    (Q,) = prime_ideals_above(K5, 7)
+    (R,) = prime_ideals_above(K5, 5)
+    assert not is_degenerate(FIB, Q)
+    assert calls == []
+    assert is_degenerate(FIB, R)
+    assert calls
+
+
 def test_degenerate_flags():
     (R,) = prime_ideals_above(K5, 5)
     (Q,) = prime_ideals_above(K5, 7)
@@ -114,6 +154,10 @@ def test_degenerate_flags():
     assert is_degenerate(t, S)
     (S2,) = prime_ideals_above(None, 7)
     assert not is_degenerate(t, S2)
+    (P7,) = prime_ideals_above(K5, 7)
+    assert is_degenerate(DEN7, P7)
+    A, B = prime_ideals_above(K2, 7)
+    assert (is_degenerate(NORM7, A), is_degenerate(NORM7, B)) == (False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +294,35 @@ def test_brute_rejects_non_unit_constant_term():
         period_bruteforce(rational_tuple((3,), (2,)), 9)
 
 
-def test_state_loop_budget_guard():
+@pytest.mark.parametrize("cs, xs, mod, period", [
+    ([3], [1], 7, 6),                       # 3 has order 6 mod 7
+    ([1, 1], [0, 1], 7, 16),                # Fibonacci, pi(7) = 16
+    ([30 % 11, -31 % 11, 10], [3, 10, 38 % 11], 11, 10),  # 2^k + 3^k + 5^k
+], ids=["order1", "order2", "order3"])
+def test_state_loop_budget_guard(cs, xs, mod, period):
     with pytest.raises(ResourceLimitError):
-        _int_state_period([1, 1], [0, 1], 7, 3)
+        _int_state_period(cs, xs, mod, period - 1)
+    assert _int_state_period(cs, xs, mod, period) == period
+
+
+@given(st.data())
+def test_int_state_loops_match_the_plain_sequence(data):
+    # each per-order loop against the first return of the state built from
+    # plain terms; a budget the oracle does not reach must raise
+    m = data.draw(st.integers(2, 500))
+    r = data.draw(st.integers(1, 3))
+    cs = data.draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
+    assume(math.gcd(cs[0], m) == 1)
+    xs = data.draw(st.lists(st.integers(0, m - 1), min_size=r, max_size=r))
+    budget = 3000
+    terms = oracles.sequence_brute(cs, xs, m, budget + r)
+    first = next((k for k in range(1, budget + 1)
+                  if terms[k:k + r] == terms[:r]), None)
+    if first is None:
+        with pytest.raises(ResourceLimitError):
+            _int_state_period(cs, xs, m, budget)
+    else:
+        assert _int_state_period(cs, xs, m, budget) == first
 
 
 def test_order_four_rational_state_takes_the_pair_loop(monkeypatch):
@@ -270,9 +340,11 @@ def test_order_four_rational_state_takes_the_pair_loop(monkeypatch):
     xs = [(4, 0), (17, 0), (87, 0), (503 % 143, 0)]
     assert _state_period(cs, xs, 0, 0, 143) == 60
     assert budgets == [6 * 143 ** 2]
-    # the guard: the same state with one step too few to return
+    # the guard: the same state with one step too few to return, and with
+    # exactly enough
     with pytest.raises(ResourceLimitError):
         real(cs, xs, 0, 0, 143, 59)
+    assert real(cs, xs, 0, 0, 143, 60) == 60
 
 
 def _first_return(roots, weights, m):

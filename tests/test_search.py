@@ -341,6 +341,48 @@ def test_resume_accepts_records_at_the_edges(tmp_path):
     assert (ck.cursor, ck.primes_scanned) == (29, 0)
 
 
+@pytest.mark.parametrize("scanned, hit_p, ok", [
+    (98, 2, True),       # cursor - lo primes scanned, a hit at p = lo
+    (99, None, False),   # one more than cursor - lo primes
+    (25, 100, False),    # a hit at p = cursor
+], ids=["edges-accepted", "scanned-past-cursor", "hit-at-cursor"])
+def test_resume_state_edges(scanned, hit_p, ok):
+    hits = [] if hit_p is None else [{"p": hit_p}]
+    rec = {"cursor": 100, "hits": hits, "stats": {"primes_scanned": scanned}}
+    if ok:
+        assert search._resume_state(rec, 2, 500) == (100, hits, scanned)
+    else:
+        with pytest.raises(CheckpointError):
+            search._resume_state(rec, 2, 500)
+
+
+def test_resume_after_a_crash_between_flushes(tmp_path):
+    # the crash comes after the first periodic record, so the resume starts
+    # from a record that search_range wrote mid-scan
+    pred = wieferich_predicate(2)
+    lo, hi, crash_at = 2, 300_000, 20_500
+    assert crash_at > search.FLUSH_EVERY
+    straight = tmp_path / "a.ckpt"
+    search_range(pred, lo, hi, str(straight))
+    seen = []
+
+    def crashing(p):
+        seen.append(p)
+        if len(seen) == crash_at:
+            raise KeyboardInterrupt
+        return pred.test(p)
+
+    path = tmp_path / "b.ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        search_range(SearchPredicate(pred.name, pred.params, crashing,
+                                     pred.verify), lo, hi, str(path))
+    assert len(path.read_text().splitlines()) == 1
+    ck = search_range(pred, lo, hi, str(path), resume=True)
+    assert ck.complete and ck.primes_scanned == 25_997
+    assert (path.read_bytes().splitlines()[-1]
+            == straight.read_bytes().splitlines()[-1])
+
+
 def test_resume_reverifies_hits(tmp_path):
     pred = wieferich_predicate(2)
     path = tmp_path / "f.ckpt"
