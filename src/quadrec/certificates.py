@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
+from .factor import factorize
 from .periods import multiplicative_order
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
     ResidueElement,
     as_element,
-    factorize,
     ideal_factors,
     is_torsion,
     reduce,
@@ -124,7 +124,7 @@ def _has_order(x: ResidueElement, n: int, n_primes) -> bool:
 @dataclass(frozen=True)
 class CertifiedCount:
     count: int
-    # indices whose Phi_n(gamma) neither rho nor p-1 split within the budget
+    # indices whose Phi_n(gamma) no stage of factor._STAGES split in budget
     skipped: tuple[int, ...]
     # the kept certificates (norm <= bound), in emission order
     certificates: tuple[NonWieferichCertificate, ...]

@@ -14,12 +14,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantBreachError, ResourceLimitError, UsageError
+from .factor import iter_primes
 from .heights import _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, period_formula)
 from .ring import (QuadraticElement, QuadraticField, _prime_ideals_above,
-                   as_element, as_elements, ideal_factors, is_torsion,
-                   iter_primes)
+                   as_element, as_elements, ideal_factors, is_torsion)
 
 PRODUCT_BITS = 1 << 22  # largest sum_i |e_i| * bits(g_i) of a product we form
 

@@ -16,13 +16,13 @@ from typing import Optional
 
 from .certificates import cyclotomic_factors, cyclotomic_value
 from .errors import UsageError
+from .factor import euler_phi
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
     QuadraticField,
     as_element,
     as_elements,
-    euler_phi,
     field_norm,
     ideal_factors,
     is_torsion,

@@ -17,6 +17,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInputError, InvariantBreachError,
                      ResourceLimitError, UsageError)
+from .factor import factorize, kronecker
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -25,9 +26,7 @@ from .ring import (
     _prime_ideals_above,
     as_element,
     as_elements,
-    factorize,
     field_norm,
-    kronecker,
     qelem,
     quad_valuation,
     quadratic_field,

@@ -5,376 +5,21 @@ d = 1 mod 4 and w = sqrt(d) otherwise; the ring of integers is exactly the
 den = 1 slice.  Plain rationals are the field = None case, which keeps one
 code path for sequences over Q and over a quadratic field.
 
-Everything here is immutable and pure; values can be shared freely.
+Everything here is immutable and pure; values can be shared freely.  The
+integers' primality, factorization and sieve live in factor.py.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from .errors import (DegenerateInputError, FactorizationError,
-                     InvariantBreachError, MixedFieldError, UsageError)
+from .errors import (DegenerateInputError, InvariantBreachError,
+                     MixedFieldError, UsageError)
+from .factor import _sqrt_mod_prime, _vp, factorize, is_prime, kronecker
 
 Rational = Union[int, Fraction]
-
-# Trial division handles prime factors below this bound deterministically;
-# beyond it Brent's rho races Pollard's p-1 stage 1, both drawing on the one
-# budget RHO_BUDGET (rho squarings; p-1 runs to B1 = RHO_BUDGET // 2).
-TRIAL_LIMIT = 10 ** 6
-_TRIAL_SQ = TRIAL_LIMIT ** 2
-RHO_BUDGET = 2_000_000
-SEGMENT = 1 << 16  # numbers per segment of the prime sieve
-
-# Trial division by every prime through 61 runs first, so no Miller-Rabin
-# base below is ever 0 mod n.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61)
-# Miller-Rabin with bases (2, 7, 61) is a proven primality test below this
-# bound (Jaeschke, Math. Comp. 61 (1993)); the bound itself is the first
-# composite that passes all three, so the test must stay strict.
-_MR_SMALL_BOUND = 4_759_123_141
-_MR_SMALL_BASES = (2, 7, 61)
-# The first twelve prime bases are proven below this bound (Sorenson and
-# Webster, Math. Comp. 86 (2017)).
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Beyond the proven bound: a fixed wider battery, deterministic but heuristic.
-_MR_BASES_WIDE = _MR_BASES + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-# ---------------------------------------------------------------------------
-# integer plumbing
-
-
-def _vp(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("the p-adic valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def is_prime(n: int) -> bool:
-    """Primality by trial division through 61, then strong-probable-prime tests.
-
-    The Miller-Rabin base set is picked by the size of n:
-    (2, 7, 61) below 4,759,123,141 (Jaeschke 1993), the twelve primes through
-    37 below 3.3e24 (Sorenson-Webster 2017); both are proofs.  Above that a
-    fixed 25-base battery is deterministic but heuristic.
-    """
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    if n < _MR_SMALL_BOUND:
-        bases = _MR_SMALL_BASES
-    elif n < _MR_PROVEN_BOUND:
-        bases = _MR_BASES
-    else:
-        bases = _MR_BASES_WIDE
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int, budget: int) -> Iterator[int]:
-    """Brent's rho on composite odd n, run a doubling round per next().
-
-    Yields the modular squarings each fruitless round spent, and returns a
-    factor d > 1 of n (not n itself), or None once the rounds have spent
-    more than budget or the parameter sweep ends.
-    """
-    used = 0
-    for c in range(1, 64):
-        y, m, g, q = 2, 128, 1, 1
-        x = ys = y
-        while True:
-            x = y
-            for _ in range(m):
-                y = (y * y + c) % n
-            k = 0
-            while k < m and g == 1:
-                ys = y
-                for _ in range(min(128, m - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            if g != 1:
-                break
-            used += 2 * m
-            if used > budget:
-                return None
-            yield 2 * m
-            m *= 2
-        if g == n:
-            # backtrack one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    return None
-
-
-# Prime powers raised per gcd in p-1 stage 1.
-_PM1_BATCH = 256
-
-
-def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
-    """Pollard's p-1 stage 1 on composite n, run a batch per next().
-
-    Starts from 3^(2*index), since a prime q in factorize's classes often
-    has index | q - 1, and raises it to every prime power <= bound, taking
-    one gcd per batch.  Yields the exponent bits each fruitless batch spent,
-    and returns a factor d > 1 of n (not n itself), or None when the primes
-    run out or a single prime power reveals every factor of n at once.
-    """
-    a = pow(3, 2 * index, n)
-    powers = _prime_powers(bound)
-    while batch := list(itertools.islice(powers, _PM1_BATCH)):
-        start, e = a, math.prod(batch)
-        a = pow(a, e, n)
-        g = math.gcd(a - 1, n)
-        if g == 1:
-            yield e.bit_length()
-            continue
-        if g == n:
-            # two factors fell out in one batch: redo it a prime power at a time
-            a = start
-            for pk in batch:
-                a = pow(a, pk, n)
-                g = math.gcd(a - 1, n)
-                if g > 1:
-                    break
-        return g if g < n else None
-    return None
-
-
-def _split(n: int, index: int) -> int:
-    """A factor d > 1 of odd composite n, not n: Brent rho raced against p-1.
-
-    The method that has spent less work (modular squarings, or exponent
-    bits, which cost a squaring each) runs next, so a split costs at most
-    about twice what the cheaper method needs.  Rho stops after RHO_BUDGET
-    squarings, p-1 after the primes up to B1 = RHO_BUDGET // 2; when both
-    have stopped, or together they pass 2 * RHO_BUDGET, FactorizationError.
-    """
-    r = math.isqrt(n)
-    if r * r == n:
-        return r
-    budget = RHO_BUDGET
-    methods = {"rho": _pollard_brent(n, budget),
-               "p-1": _pollard_pm1(n, budget // 2, index)}
-    spent = dict.fromkeys(methods, 0)
-    while methods and sum(spent.values()) <= 2 * budget:
-        name = min(methods, key=spent.__getitem__)
-        try:
-            spent[name] += next(methods[name])
-        except StopIteration as stop:
-            if stop.value is not None:
-                return stop.value
-            del methods[name]
-    raise FactorizationError(
-        f"factorization budget {budget} exhausted on cofactor {n} "
-        f"(Brent rho and p-1 stage 1 with B1 = {budget // 2})"
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _trial_wheel(index: int) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Trial divisors for inputs whose prime factors q divide index or have
-    q^2 = 1 (mod index): the primes tried first (2, 3, 5 and those of index),
-    then the first wheel candidate and the cyclic gaps between candidates.
-
-    Candidates are the m >= 7 prime to 30 with m^2 = 1 (mod index); they
-    repeat with period lcm(30, index).  index = 1 gives the 30-wheel.
-    """
-    if index < 1:
-        raise ValueError("factorize index must be a positive integer")
-    first = (2, 3, 5)
-    if index > 1:
-        first = tuple(sorted(set(first) | set(factorize(index))))
-    period = 30 * index // math.gcd(30, index)
-    roots = [r for r in range(index) if r * r % index == 1 % index]
-    cands = sorted(m for r in roots
-                   for m in range(7 + (r - 7) % index, 7 + period, index)
-                   if math.gcd(m, 30) == 1)
-    gaps = [b - a for a, b in zip(cands, cands[1:])]
-    gaps.append(cands[0] + period - cands[-1])
-    return first, cands[0], tuple(gaps)
-
-
-def factorize(n: int, index: int = 1) -> dict[int, int]:
-    """Full prime factorization {p: e} of n >= 1.
-
-    Trial division below TRIAL_LIMIT.  A composite cofactor above it goes to
-    a race of Brent's rho (at most RHO_BUDGET squarings) against Pollard's
-    p-1 stage 1 (B1 = RHO_BUDGET // 2, started from 3^(2*index)): whichever
-    has spent less runs next, and the first proper factor wins.  A cofactor
-    that neither method splits within 2 * RHO_BUDGET raises
-    FactorizationError rather than returning a guess.
-
-    index states a fact about n: every prime factor q of n divides index or
-    has q^2 = 1 (mod index).  The numerator of N(Phi_k(gamma)) satisfies it
-    for index = k (a prime ideal above q that divides Phi_k(gamma) with
-    q prime to k has norm q or q^2 = 1 mod k), and trial division then
-    walks only those residue classes.  index = 1 claims nothing.  With
-    index > 1 every returned factor is re-checked for primality and for the
-    class rule, so a false claim raises InvariantBreachError instead of
-    returning a wrong factorization.
-    """
-    if n < 1:
-        raise ValueError("factorize is defined for positive integers")
-    first, m, gaps = _trial_wheel(index)
-    out: dict[int, int] = {}
-    for p in first:
-        if n % p == 0:
-            out[p] = _vp(n, p)
-            n //= p ** out[p]
-    # m runs through the candidates while m <= min(sqrt(n), TRIAL_LIMIT - 1)
-    lim = math.isqrt(n) if n < _TRIAL_SQ else TRIAL_LIMIT - 1
-    while m <= lim:
-        for gap in gaps:
-            if not n % m:
-                out[m] = _vp(n, m)
-                n //= m ** out[m]
-                lim = math.isqrt(n) if n < _TRIAL_SQ else TRIAL_LIMIT - 1
-            m += gap
-            if m > lim:
-                break
-    if n > 1:
-        if m * m > n:
-            out[n] = out.get(n, 0) + 1
-        else:
-            _factor_large(n, out, index)
-    if index > 1:
-        bad = [q for q in out
-               if not ((index % q == 0 or q * q % index == 1) and is_prime(q))]
-        if bad:
-            raise InvariantBreachError(
-                f"factors {bad} are not primes in the classes q | {index} "
-                f"or q^2 = 1 (mod {index})"
-            )
-    return dict(sorted(out.items()))
-
-
-def _factor_large(n: int, out: dict[int, int], index: int) -> None:
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _split(n, index)
-    if not 1 < d < n:
-        raise InvariantBreachError(f"split returned {d}, not a proper factor of {n}")
-    _factor_large(d, out, index)
-    _factor_large(n // d, out, index)
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient, from the prime factorization."""
-    out = 1
-    for p, e in factorize(n).items():
-        out *= p ** (e - 1) * (p - 1)
-    return out
-
-
-def primes_below(n: int) -> list[int]:
-    """All primes < n."""
-    return list(iter_primes(2, n))
-
-
-def _prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
-    """The primes in [lo, hi), a segment at a time, sieved by primes_below."""
-    lo = max(lo, 2)
-    if lo >= hi:
-        return
-    base = primes_below(math.isqrt(hi - 1) + 1)
-    for start in range(lo, hi, SEGMENT):
-        end = min(start + SEGMENT, hi)
-        marks = bytearray([1]) * (end - start)
-        for p in base:
-            if p * p >= end:
-                break
-            first = max(p * p, (start + p - 1) // p * p)
-            marks[first - start::p] = bytearray(len(range(first, end, p)))
-        yield itertools.compress(range(start, end), marks)
-
-
-def iter_primes(lo: int, hi: int) -> Iterator[int]:
-    """Primes in [lo, hi) via a segmented sieve; memory stays O(SEGMENT)."""
-    for primes in _prime_segments(lo, hi):
-        yield from primes
-
-
-def _prime_powers(bound: int) -> Iterator[int]:
-    """The largest power <= bound of each prime <= bound, by ascending prime."""
-    for p in itertools.chain.from_iterable(_prime_segments(2, bound + 1)):
-        pk = p
-        while pk * p <= bound:
-            pk *= p
-        yield pk
-
-
-def kronecker(D: int, p: int) -> int:
-    """Kronecker symbol (D/p) for prime p."""
-    if p == 2:
-        if D % 2 == 0:
-            return 0
-        return 1 if D % 8 in (1, 7) else -1
-    a = D % p
-    if a == 0:
-        return 0
-    ls = pow(a, (p - 1) // 2, p)
-    return 1 if ls == 1 else -1
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    """Square root of a quadratic residue a modulo an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise InvariantBreachError(f"{a} is not a square modulo {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, InvariantBreachError, UsageError
-from .ring import (_prime_ideals_above, as_element, field_norm, ideal_factors,
-                   is_prime, iter_primes)
+from .factor import is_prime, iter_primes
+from .ring import _prime_ideals_above, as_element, field_norm, ideal_factors
 from .wieferich import (fermat_quotient_residue, lucas_screen,
                         wall_period_test, wss_divisibility_test, wss_screen)
 
@@ -99,7 +99,7 @@ def _writing(path: str, mode: str):
 
 def _load_last_record(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
@@ -107,9 +107,9 @@ def _load_last_record(path: str) -> dict:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # torn tail line from a crash mid-write
+            rec = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):  # a torn tail line
+            continue
         if isinstance(rec, dict) and rec.get("version") == CHECKPOINT_VERSION:
             return rec
     raise CheckpointError(f"no usable checkpoint record in {path}")

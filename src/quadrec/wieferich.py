@@ -16,14 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
+from .factor import iter_primes, kronecker
 from .periods import _fib_pair, pisano_prime_power
 from .ring import (
     PrimeIdealData,
     _prime_ideals_above,
     as_element,
     is_torsion,
-    iter_primes,
-    kronecker,
     quad_valuation,
     reduce,
     residue_pow,

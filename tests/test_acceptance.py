@@ -16,8 +16,8 @@ from quadrec.heights import (abc_quality, local_values, element_height,
 from quadrec.certificates import cyclotomic_value
 from quadrec.periods import (is_degenerate, period_bruteforce, period_formula,
                              pisano, standard_battery)
-from quadrec.ring import (as_element, euler_phi, factorize, is_prime,
-                          prime_ideals_above, primes_below, qelem,
+from quadrec.factor import euler_phi, factorize, is_prime, primes_below
+from quadrec.ring import (as_element, prime_ideals_above, qelem,
                           quadratic_field, sqrt_element)
 from quadrec.search import search_range, wall_predicate, wieferich_predicate
 from quadrec.wieferich import wall_period_test, wss_divisibility_test

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadrec.certificates import (
@@ -188,6 +188,20 @@ def test_certified_count_keeps_certificates_in_order():
     assert all(c.prime_ideal.norm <= 100 for c in cc.certificates)
 
 
+def test_certified_count_starts_at_n_1():
+    # Phi_1(3) = 2, so the first witness index certifies the prime 2
+    cc = certified_count(3, 100)
+    assert [(c.n, c.p) for c in cc.certificates] == [(1, 2), (3, 13)]
+
+
+def test_certified_count_keeps_a_certificate_whose_norm_is_the_bound():
+    cc = certified_count(PHI, 11)
+    assert cc.count == 2 and "11a" in [c.prime_ideal.label()
+                                       for c in cc.certificates]
+    cc = certified_count(qelem(quadratic_field(3), 2, 1), 25)  # 2 + sqrt(3)
+    assert [c.prime_ideal.label() for c in cc.certificates] == ["5i"]
+
+
 @pytest.mark.parametrize("gamma", [2, 3, 7, Fraction(3, 2), Fraction(-5, 3),
                                    Fraction(1, 2)])
 @pytest.mark.parametrize("n", [1, 5, 29, 60])
@@ -292,13 +306,19 @@ def _height_oracle(g) -> mpmath.mpf:
 
 
 @settings(max_examples=60)
-@given(st.sampled_from([(2, 1, 1), (5, 0, 1), (3, 2, 1), (2, 1, 3), (13, 1, 2),
-                        (-1, 1, 2), (-3, 2, 1), (5, 1, -3)]),
+@given(st.sampled_from([(2, 1, 1, 1), (5, 0, 1, 1), (3, 2, 1, 1),
+                        (2, 1, 3, 1), (13, 1, 2, 1), (-1, 1, 2, 1),
+                        (-3, 2, 1, 1), (5, 1, -3, 1),
+                        (5, 1, 2, 3),     # (1+2w)/3 in Q(sqrt(5))
+                        (13, 1, 2, 3)]),  # (2+sqrt(13))/3
        st.integers(1, 200), st.integers(-2, 2))
+@example((5, 1, 2, 3), 100, 0)
+@example((13, 1, 2, 3), 100, 0)
 def test_witness_limit_matches_high_precision_heights(base, n, delta):
-    # bounds next to 2*H^n, where the old float cutoff could misjudge
-    d, a, b = base
-    g = qelem(quadratic_field(d), a, b)
+    # bounds next to 2*H^n, where the old float cutoff could misjudge; the
+    # bases with den > 1 have a minimal polynomial that is not monic
+    d, a, b, den = base
+    g = qelem(quadratic_field(d), a, b, den)
     with mpmath.workprec(600):
         h = _height_oracle(g)
         bound = int(mpmath.floor(2 * mpmath.exp(n * h))) + delta
@@ -306,6 +326,11 @@ def test_witness_limit_matches_high_precision_heights(base, n, delta):
         x = (mpmath.log(bound) - mpmath.log(2)) / h
         assume(abs(x - mpmath.nint(x)) > mpmath.mpf(10) ** -100)  # no exact tie
         assert witness_limit(g, bound) == int(mpmath.floor(x))
+
+
+@pytest.mark.parametrize("bound", [-10 ** 6, 0, 1])
+def test_witness_limit_is_0_below_2(bound):
+    assert witness_limit(PHI, bound) == 0 and witness_limit(2, bound) == 0
 
 
 def test_witness_limit_rejects_zero_base():

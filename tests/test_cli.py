@@ -1,7 +1,13 @@
 """CLI surface: literal grammar, config canonicalization, output discipline,
 exit codes, sharded workers, and checkpoint round-trips."""
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +26,7 @@ from quadrec.search import search_range, wieferich_predicate
 
 K5 = quadratic_field(5)
 K2 = quadratic_field(2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -479,6 +486,57 @@ def test_search_resume_across_fields_exits_6(capsys, tmp_path):
                            "--field-d", "5", "--to", "20000",
                            "--checkpoint", ck, "--resume")
     assert code == 0 and out == straight
+
+
+def test_search_undecodable_checkpoint_lines_are_skipped(capsys, tmp_path):
+    # a line that is not UTF-8 is treated like a torn JSON line
+    ck = tmp_path / "w.jsonl"
+    args = ("search-wieferich", "--base", "2", "--to", "50000",
+            "--checkpoint", str(ck))
+    ck.write_bytes(b"\xff\xfe x\n")
+    code, out, err = run_cli(capsys, *args, "--resume")
+    assert (code, out) == (6, "")
+    assert err.startswith(f"error: no usable checkpoint record in {ck}")
+    code, straight, _ = run_cli(capsys, *args)
+    assert code == 0
+    final = ck.read_bytes().splitlines()[-1]
+    search_range(wieferich_predicate(2), 2, 50000, str(ck), stop_after=1000)
+    with open(ck, "ab") as fh:
+        fh.write(b"\xff")
+    code, out, _ = run_cli(capsys, *args, "--resume")
+    assert (code, out) == (0, straight)
+    assert ck.read_bytes().splitlines()[-1] == final
+
+
+def test_search_resumes_after_a_sigkill_between_flushes(capsys, tmp_path):
+    # the scan process is killed after its first periodic record is on disk
+    # and before its last; a kill outside that window fails the test
+    args = ("search-wieferich", "--base", "2", "--to", "3000000",
+            "--checkpoint")
+    ck, straight_ck = tmp_path / "k.jsonl", tmp_path / "s.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadrec.cli", *args, str(ck)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    deadline = time.monotonic() + 120
+    try:
+        while proc.poll() is None and time.monotonic() < deadline:
+            if ck.exists() and b"\n" in ck.read_bytes():
+                proc.send_signal(signal.SIGKILL)
+                break
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    records = ck.read_bytes().split(b"\n")[:-1]  # the complete lines
+    assert records and json.loads(records[-1])["cursor"] < 3000000
+    code, resumed, _ = run_cli(capsys, *args, str(ck), "--resume")
+    assert code == 0
+    code, straight, _ = run_cli(capsys, *args, str(straight_ck))
+    assert (code, resumed) == (0, straight)
+    assert (ck.read_bytes().splitlines()[-1]
+            == straight_ck.read_bytes().splitlines()[-1])
 
 
 def _drop_stats(rec):

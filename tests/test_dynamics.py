@@ -20,9 +20,10 @@ from quadrec.errors import (DegenerateInputError, InvariantBreachError,
 from quadrec.periods import (RecurrenceTuple, fibonacci_tuple, is_degenerate,
                              period_bruteforce, rational_tuple,
                              standard_battery)
-from quadrec.ring import (as_element, field_norm, ideal_factors, is_prime,
-                          is_torsion, prime_ideals_above, qelem,
-                          quadratic_field, sqrt_element)
+from quadrec.factor import is_prime
+from quadrec.ring import (as_element, field_norm, ideal_factors, is_torsion,
+                          prime_ideals_above, qelem, quadratic_field,
+                          sqrt_element)
 
 K2 = quadratic_field(2)
 K5 = quadratic_field(5)

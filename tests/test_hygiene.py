@@ -24,11 +24,13 @@ not share code with what they check, so tests/oracles.py imports only
 and mpmath and the process pool made up about a third of a cold start
 though only heights and `--workers` above 1 use them, so no module body
 imports mpmath, `concurrent.futures` or `multiprocessing`; the functions that
-need them import them.
+need them import them.  The integer number theory in factor.py sits beneath
+every other module, so it imports only the standard library and `.errors`.
 """
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -179,6 +181,19 @@ def test_the_oracles_import_only_math_and_fractions(
     assert extra == [], f"{path.name} imports {extra}"
 
 
+def test_factor_imports_only_the_stdlib_and_errors(
+        path: pathlib.Path = SRC / "factor.py"):
+    modules = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+    extra = sorted(m for m in modules if m != ".errors" and (
+        m.startswith(".") or m.split(".")[0] not in sys.stdlib_module_names))
+    assert extra == [], f"{path.name} imports {extra}"
+
+
 def _definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and every non-dunder method."""
     out = []
@@ -306,6 +321,13 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     with pytest.raises(AssertionError, match=re.escape(
             "oracles.py imports ['.', 'quadrec.ring', 'sympy.ntheory']")):
         test_the_oracles_import_only_math_and_fractions(tmp_path / "oracles.py")
+    (tmp_path / "factor.py").write_text(
+        "import math\nfrom itertools import islice\n"
+        "from .errors import UsageError\nfrom .ring import qelem\n"
+        "import sympy.ntheory\nfrom . import periods\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "factor.py imports ['.', '.ring', 'sympy.ntheory']")):
+        test_factor_imports_only_the_stdlib_and_errors(tmp_path / "factor.py")
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code
     (tmp_path / "src" / "quadrec").mkdir(parents=True)

@@ -9,8 +9,9 @@ import oracles
 import quadrec.periods
 import quadrec.wieferich
 from quadrec.errors import DegenerateInputError, InvariantBreachError
+from quadrec.factor import is_prime
 from quadrec.periods import multiplicative_order
-from quadrec.ring import (as_element, is_prime, prime_ideals_above, qelem,
+from quadrec.ring import (as_element, prime_ideals_above, qelem,
                           quadratic_field, reduce, residue_pow,
                           unit_group_order)
 from quadrec.wieferich import fermat_quotient_residue

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from quadrec import ring
+from quadrec import factor, ring
 from quadrec.errors import (DegenerateInputError, FactorizationError,
                             InvariantBreachError, MixedFieldError,
                             QuadrecError, UsageError)
+from quadrec.factor import factorize, is_prime, kronecker
 from quadrec.ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -18,12 +20,9 @@ from quadrec.ring import (
     _prime_ideals_above,
     as_element,
     as_elements,
-    factorize,
     field_norm,
     ideal_factors,
-    is_prime,
     is_torsion,
-    kronecker,
     prime_ideals_above,
     qelem,
     quad_valuation,
@@ -533,13 +532,13 @@ def test_factorize_known_semiprime():
 
 
 def test_index_one_wheel_is_the_30_wheel():
-    from quadrec.ring import _trial_wheel
+    from quadrec.factor import _trial_wheel
     assert _trial_wheel(1) == ((2, 3, 5), 7, (4, 2, 4, 2, 4, 6, 2, 6))
 
 
 @pytest.mark.parametrize("index", [2, 4, 7, 12, 30, 60, 101])
 def test_wheel_walks_exactly_the_admissible_classes(index):
-    from quadrec.ring import _trial_wheel
+    from quadrec.factor import _trial_wheel
     first, m, gaps = _trial_wheel(index)
     assert set(first) == {2, 3, 5} | set(factorize(index))
     walked = set()
@@ -565,7 +564,7 @@ def test_factorize_along_cyclotomic_classes_matches_plain(d, a, b, den, n):
     N = abs(field_norm(value).numerator)
     # a small budget keeps each example fast; patched here, because a
     # function-scoped monkeypatch does not mix with hypothesis
-    with mock.patch.object(ring, "RHO_BUDGET", 50_000):
+    with mock.patch.object(factor, "RHO_BUDGET", 50_000):
         try:
             plain = factorize(N)
         except FactorizationError:
@@ -614,16 +613,14 @@ def _drain(method):
 
 
 def test_factor_large_rejects_an_improper_rho_factor(monkeypatch):
-    import quadrec.ring as mod
-    monkeypatch.setattr(mod, "_pollard_brent", _returns(1_000_003 * 1_000_033))
+    monkeypatch.setattr(factor, "_pollard_brent", _returns(1_000_003 * 1_000_033))
     with pytest.raises(InvariantBreachError):
         factorize(1_000_003 * 1_000_033)
 
 
 def test_factor_large_rejects_an_improper_pm1_factor(monkeypatch):
-    import quadrec.ring as mod
-    monkeypatch.setattr(mod, "_pollard_brent", _spins)
-    monkeypatch.setattr(mod, "_pollard_pm1", _returns(1_000_003 * 1_000_033))
+    monkeypatch.setattr(factor, "_pollard_brent", _spins)
+    monkeypatch.setattr(factor, "_pollard_pm1", _returns(1_000_003 * 1_000_033))
     with pytest.raises(InvariantBreachError):
         factorize(1_000_003 * 1_000_033)
 
@@ -650,23 +647,22 @@ def test_race_splits_mersenne_101_within_a_second():
 def test_pm1_streams_its_primes(monkeypatch):
     # p-1 walks the primes below B1 = 10^6 by a segmented sieve, so no
     # sieve is ever asked for more than the base primes below sqrt(B1)
-    import quadrec.ring as mod
     asked = []
-    real = mod.primes_below
+    real = factor.primes_below
 
     def recording(n):
         asked.append(n)
         return real(n)
 
-    monkeypatch.setattr(mod, "primes_below", recording)
+    monkeypatch.setattr(factor, "primes_below", recording)
     assert factorize(2 ** 101 - 1, index=101) == {7432339208719: 1,
                                                  341117531003194129: 1}
-    b1 = mod.RHO_BUDGET // 2
+    b1 = factor.RHO_BUDGET // 2
     assert asked and max(asked) <= math.isqrt(b1) + 1
 
 
 def test_pm1_backtracks_when_one_batch_reveals_both_factors():
-    from quadrec.ring import _PM1_BATCH, _pollard_pm1
+    from quadrec.factor import _PM1_BATCH, _pollard_pm1
     q1, q2 = 2860395497579, 6604071883847
     assert q1 - 1 == 2 * 739 * 823 * 1237 * 1901
     assert q2 - 1 == 2 * 563 * 1303 * 1607 * 2801
@@ -686,10 +682,20 @@ def test_race_gives_up_on_a_product_of_safe_primes(monkeypatch):
     # 10^6 steps, far past the budget
     q1, q2 = 1000000000547, 1000002002543
     assert all(is_prime(q) and is_prime(q // 2) for q in (q1, q2))
-    monkeypatch.setattr(ring, "RHO_BUDGET", 20_000)
+    monkeypatch.setattr(factor, "RHO_BUDGET", 20_000)
     with pytest.raises(FactorizationError) as info:
         factorize(q1 * q2)
     assert str(q1 * q2) in str(info.value) and "20000" in str(info.value)
+    # the message names every stage with the work it spent
+    assert re.search(r"\(work spent: rho \d+, p-1 \d+\)$", str(info.value))
+
+
+def test_ring_does_not_re_export_the_factoring_internals():
+    # a test that patches one of these on ring must raise, not patch nothing
+    for name in ("RHO_BUDGET", "SEGMENT", "TRIAL_LIMIT", "_STAGES",
+                 "_pollard_brent", "_pollard_pm1", "_split", "primes_below",
+                 "iter_primes", "euler_phi"):
+        assert hasattr(factor, name) and not hasattr(ring, name), name
 
 
 @settings(max_examples=15)
@@ -706,14 +712,14 @@ def test_race_matches_trial_division_on_semiprimes(a, b):
 
 
 def test_vp_of_zero_raises_value_error():
-    from quadrec.ring import _vp
+    from quadrec.factor import _vp
     with pytest.raises(ValueError):
         _vp(0, 3)
     assert _vp(-72, 2) == 3 and _vp(72, 3) == 2 and _vp(5, 7) == 0
 
 
 def test_sqrt_mod_prime_of_a_non_residue_raises():
-    from quadrec.ring import _sqrt_mod_prime
+    from quadrec.factor import _sqrt_mod_prime
     with pytest.raises(InvariantBreachError):
         _sqrt_mod_prime(3, 7)  # the squares mod 7 are 1, 2 and 4
     with pytest.raises(InvariantBreachError):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from quadrec import ring, search
+from quadrec import factor, search
 from quadrec.errors import CheckpointError, InvariantBreachError, UsageError
 from quadrec.ring import as_element, prime_ideals_above, qelem, quadratic_field
 from quadrec.search import (
@@ -31,12 +31,12 @@ def test_iter_primes_matches_sieve(monkeypatch):
     # the sieving primes come from the same sieve one level down, so every
     # small bound exercises the recursion's base cases
     for n in range(201):
-        assert ring.primes_below(n) == oracles.primes_below(n), n
+        assert factor.primes_below(n) == oracles.primes_below(n), n
     # segment boundaries do not lose primes
-    monkeypatch.setattr(ring, "SEGMENT", 64)
+    monkeypatch.setattr(factor, "SEGMENT", 64)
     got = list(iter_primes(2, 5000))
     assert got == oracles.primes_below(5000)
-    assert ring.primes_below(5000) == got
+    assert factor.primes_below(5000) == got
 
 
 def test_empty_range_checkpoint():

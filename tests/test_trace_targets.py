@@ -2,7 +2,9 @@
 functions by name.  perfbench/spans.py is read here with ast and never
 imported; every name in its TARGETS, GENERATORS and PREDICATE_FACTORIES
 must still resolve in its quadrec module, so a rename fails this suite and
-not only a traced benchmark run."""
+not only a traced benchmark run.  The traced ring.factorize, ring.is_prime
+and search.iter_primes are quadrec.factor's own functions, so rebinding them
+in every module also traces the calls made inside factor."""
 import ast
 import importlib
 import pathlib
@@ -43,3 +45,10 @@ def test_the_check_catches_a_renamed_target(tmp_path):
     with pytest.raises(AssertionError, match=r"\['quadrec\.ring\.reduce_old', "
                                              r"'quadrec\.search\.gone'\]"):
         test_every_traced_name_resolves(spans)
+
+
+def test_traced_integer_functions_are_factors_own():
+    from quadrec import factor, ring, search
+    assert ring.factorize is factor.factorize
+    assert ring.is_prime is factor.is_prime
+    assert search.iter_primes is factor.iter_primes
