@@ -104,7 +104,7 @@ def _pollard_brent(n: int, budget: int) -> Iterator[int]:
                 ys = y
                 for _ in range(min(128, m - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             if g != 1:
@@ -119,7 +119,7 @@ def _pollard_brent(n: int, budget: int) -> Iterator[int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     return None
@@ -130,22 +130,33 @@ _PM1_BATCH = 256
 
 
 def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
-    """Pollard's p-1 stage 1 on composite n, run a batch per next().
+    """Pollard's p-1 on composite n, run a batch per next().
 
     Starts from 3^(2*index), since a prime q in factorize's classes often
     has index | q - 1, and raises it to every prime power <= bound, taking
-    one gcd per batch.  Yields the exponent bits each fruitless batch spent,
-    and returns a factor d > 1 of n (not n itself), or None when the primes
-    run out or a single prime power reveals every factor of n at once.
+    one gcd per batch.  Once, right after the first batch that passes
+    bound/20, the residue a feeds the stage-2 sweep (_pm1_sweep) over the
+    primes from there to bound; when the sweep finds nothing, stage 1 goes
+    on as before.  Yields the work each fruitless batch spent (exponent bits
+    in stage 1, two products per prime in the sweep), at most about
+    1.6 * bound in all, and returns a factor d > 1 of n (not n itself), or
+    None when the primes run out or a single prime power reveals every
+    factor of n at once.
     """
     a = pow(3, 2 * index, n)
     powers = _prime_powers(bound)
+    swept = False
     while batch := list(itertools.islice(powers, _PM1_BATCH)):
         start, e = a, math.prod(batch)
         a = pow(a, e, n)
         g = math.gcd(a - 1, n)
         if g == 1:
             yield e.bit_length()
+            if not swept and batch[-1] > bound // 20:
+                swept = True
+                g = yield from _pm1_sweep(n, a, batch[-1], bound)
+                if g is not None:
+                    return g
             continue
         if g == n:
             # two factors fell out in one batch: redo it a prime power at a time
@@ -159,15 +170,48 @@ def _pollard_pm1(n: int, bound: int, index: int) -> Iterator[int]:
     return None
 
 
+def _pm1_sweep(n: int, b: int, lo: int, hi: int) -> Iterator[int]:
+    """p-1 stage 2 on composite n from the stage-1 residue b, by prime-gap
+    continuation (Montgomery, Math. Comp. 48 (1987)).
+
+    Finds a prime q of n with q - 1 | E * r for one prime r in (lo, hi],
+    where b = 3^E.  x = b^r steps from prime to prime by the cached b^gap
+    of each even gap, and the product of the x - 1 is taken mod n, with one
+    gcd per _PM1_BATCH primes.  Yields 2 per prime of each fruitless batch
+    and returns a factor d > 1 of n (not n itself), or None when a gcd is n
+    or the primes run out.
+    """
+    r = lo | 1  # odd, so the gap from r to every prime above lo is even
+    x, b2, acc = pow(b, r, n), b * b % n, 1
+    steps = [1]  # steps[k] = b^(2k), the step across a gap of 2k
+    primes = iter_primes(lo + 1, hi + 1)
+    while batch := list(itertools.islice(primes, _PM1_BATCH)):
+        halves = [(q - p) >> 1 for p, q in zip([r, *batch], batch)]
+        r = batch[-1]
+        while len(steps) <= max(halves):
+            steps.append(steps[-1] * b2 % n)
+        for step in map(steps.__getitem__, halves):
+            x = x * step % n
+            acc = acc * (x - 1) % n
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g if g < n else None
+        yield 2 * len(batch)
+    return None
+
+
 # The race that splits a composite cofactor n above TRIAL_LIMIT, and the one
 # place a stage is named.  Each factory builds a generator that yields the
 # work of each fruitless step and returns a proper factor or None.  The
 # stage that has spent less runs next (the first listed on a tie), so a
 # split costs at most about twice what the cheaper stage needs: Brent's rho
-# stops after RHO_BUDGET modular squarings, Pollard's p-1 stage 1 after the
-# prime powers up to B1 = RHO_BUDGET // 2 (exponent bits, a squaring each),
-# and the race ends with FactorizationError when every stage has stopped or
-# together they pass 2 * RHO_BUDGET.  The factories look RHO_BUDGET and the
+# stops after RHO_BUDGET modular squarings, and Pollard's p-1 after stage 1
+# has raised through the prime powers up to B1 = RHO_BUDGET // 2 (exponent
+# bits, a squaring each) and its one stage-2 sweep, from past B1/20 up to B1,
+# has spent two products per prime: about 1.44 + 0.15 = 1.59 * B1 in all,
+# within RHO_BUDGET, so rho runs every round it would run beside stage 1
+# alone.  The race ends with FactorizationError when every stage has stopped
+# or together they pass 2 * RHO_BUDGET.  The factories look RHO_BUDGET and the
 # methods up at call time, so patching them on this module reaches the race.
 _STAGES = (
     ("rho", lambda n, index: _pollard_brent(n, RHO_BUDGET)),

@@ -26,6 +26,8 @@ though only heights and `--workers` above 1 use them, so no module body
 imports mpmath, `concurrent.futures` or `multiprocessing`; the functions that
 need them import them.  The integer number theory in factor.py sits beneath
 every other module, so it imports only the standard library and `.errors`.
+The race of factoring stages is registered in one place: only factor.py's
+`_STAGES` names the stages, and only p-1 names its stage-2 sweep.
 """
 import ast
 import pathlib
@@ -194,6 +196,31 @@ def test_factor_imports_only_the_stdlib_and_errors(
     assert extra == [], f"{path.name} imports {extra}"
 
 
+# name -> the one top-level definition in factor.py that may name it
+STAGE_OWNERS = {"_pollard_brent": "_STAGES", "_pollard_pm1": "_STAGES",
+                "_pm1_sweep": "_pollard_pm1"}
+
+
+def test_only_the_stage_tuple_names_a_stage(src: pathlib.Path = SRC):
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = node.name
+            elif isinstance(node, ast.Assign):
+                owner = ",".join(t.id for t in node.targets
+                                 if isinstance(t, ast.Name))
+            else:
+                owner = ""
+            found |= {(path.name, owner, name) for n in ast.walk(node)
+                      if (name := n.id if isinstance(n, ast.Name) else
+                          n.attr if isinstance(n, ast.Attribute) else None)
+                      in STAGE_OWNERS}
+    stray = sorted(f"{module}:{owner}:{name}" for module, owner, name in found
+                   if (module, owner) != ("factor.py", STAGE_OWNERS[name]))
+    assert stray == [], f"stages named outside their one place: {stray}"
+
+
 def _definitions(tree: ast.Module) -> list[str]:
     """Top-level functions and classes, and every non-dunder method."""
     out = []
@@ -328,6 +355,16 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
     with pytest.raises(AssertionError, match=re.escape(
             "factor.py imports ['.', '.ring', 'sympy.ntheory']")):
         test_factor_imports_only_the_stdlib_and_errors(tmp_path / "factor.py")
+    (tmp_path / "factor.py").write_text(
+        "def _pollard_pm1(n):\n    return _pm1_sweep(n)\n"
+        "def _split(n):\n    return _pollard_brent(n) or _pm1_sweep(n)\n"
+        "_STAGES = (_pollard_brent, _pollard_pm1)\n", encoding="utf-8")
+    (tmp_path / "ring.py").write_text(
+        "from . import factor\nRACE = factor._pollard_pm1\n", encoding="utf-8")
+    with pytest.raises(AssertionError, match=re.escape(
+            "['factor.py:_split:_pm1_sweep', 'factor.py:_split:_pollard_brent', "
+            "'ring.py:RACE:_pollard_pm1']")):
+        test_only_the_stage_tuple_names_a_stage(tmp_path)
     # spare is only in a docstring, helper only in README.md, orphan only in
     # a test's import, and Elt.used only in code
     (tmp_path / "src" / "quadrec").mkdir(parents=True)

@@ -603,13 +603,19 @@ def _spins(*args):
         yield 1
 
 
-def _drain(method):
-    """Run a split method to its end and give back what it returned."""
+def _work(method):
+    """Run a split method to its end: what it returned and the work it yielded."""
+    work = 0
     try:
         while True:
-            next(method)
+            work += next(method)
     except StopIteration as stop:
-        return stop.value
+        return stop.value, work
+
+
+def _drain(method):
+    """Run a split method to its end and give back what it returned."""
+    return _work(method)[0]
 
 
 def test_factor_large_rejects_an_improper_rho_factor(monkeypatch):
@@ -631,7 +637,9 @@ def test_factor_large_rejects_an_improper_pm1_factor(monkeypatch):
 
 def test_race_splits_mersenne_101_within_a_second():
     # 7432339208719 - 1 = 2 * 3 * 101 * 44029 * 278557 is smooth below
-    # B1 = 10^6; rho alone ran out its whole budget on this number
+    # B1 = 10^6; p-1's stage-2 sweep reaches 278557 after under a third of
+    # the work stage 1 needs, and rho alone ran out its whole budget on this
+    # number
     import time
     best = math.inf
     for _ in range(3):
@@ -675,6 +683,90 @@ def test_pm1_backtracks_when_one_batch_reveals_both_factors():
     assert all(is_prime(q) for q in (q1, q2))
     assert _drain(_pollard_pm1(q1 * q2, 10 ** 6, 1)) == q1
     assert factorize(q1 * q2) == {q1: 1, q2: 1}
+
+
+def test_pm1_sweep_finds_mersenne_101_before_stage_1_would():
+    # 7432339208719 - 1 = 2 * 3 * 101 * 44029 * 278557: stage 1 alone has to
+    # raise through every prime power up to 278557, while the sweep starts
+    # past B1/20 = 50000 and spends 2 per prime up to 278557
+    from quadrec.factor import _pollard_pm1
+    n = 2 ** 101 - 1
+    found, work = _work(_pollard_pm1(n, 10 ** 6, 101))
+    with mock.patch.object(factor, "_pm1_sweep", _returns(None)):
+        alone, stage_1 = _work(_pollard_pm1(n, 10 ** 6, 101))
+    assert found == alone == 7432339208719
+    assert work < stage_1
+
+
+@settings(max_examples=25)
+@given(st.lists(st.sampled_from(oracles.primes_below(200)), min_size=1,
+                max_size=2),
+       st.sampled_from(oracles.primes_below(20_000)),
+       st.integers(10 ** 6, 10 ** 9), st.sampled_from([1, 2, 3, 5]))
+def test_pm1_sweep_loses_no_factor_stage_1_finds(smalls, r, other, index):
+    # q - 1 = 2 * smalls * r * t is smooth below B1 = 20000 for small t; the
+    # sweep runs after the first batch of stage 1, and whatever it returns,
+    # stage 1 must still find every factor it finds on its own
+    from quadrec.factor import _pollard_pm1
+    bound, k = 20_000, 2 * math.prod(smalls) * r
+    q = next(k * t + 1 for t in range(1, bound)
+             if oracles.is_prime_trial(k * t + 1))
+    p = oracles.next_prime(other)
+    assume(p != q)
+    with mock.patch.object(factor, "_pm1_sweep", _returns(None)):
+        alone = _drain(_pollard_pm1(p * q, bound, index))
+    got = _drain(_pollard_pm1(p * q, bound, index))
+    assert got in ((p, q) if alone is not None else (None, p, q))
+
+
+def _recording_sweep(monkeypatch):
+    """Patch factor._pm1_sweep to log (lo, hi, returned, work) of each call."""
+    calls, real = [], factor._pm1_sweep
+
+    def sweep(n, b, lo, hi):
+        method, work = real(n, b, lo, hi), 0
+        try:
+            while True:
+                step = next(method)
+                work += step
+                yield step
+        except StopIteration as stop:
+            calls.append((lo, hi, stop.value, work))
+            return stop.value
+
+    monkeypatch.setattr(factor, "_pm1_sweep", sweep)
+    return calls
+
+
+def test_pm1_stage_1_resumes_when_the_sweep_finds_both_factors(monkeypatch):
+    from quadrec.factor import _pollard_pm1
+    q1, q2 = 4746932191, 1582851271
+    assert q1 - 1 == 2 * 3 * 3 * 5 * 7 * 11 * 13 * 52691
+    assert q2 - 1 == 2 * 3 * 5 * 7 * 11 * 13 * 52709
+    assert all(oracles.is_prime_trial(q) for q in (q1, q2))
+    # stage 1's 21st batch is the first to pass B1/20 = 50000 and ends at
+    # 52667; 52691 and 52709 both lie in the sweep's first batch, so its
+    # gcd is q1 * q2.  Stage 1 then walks back its own batch as before.
+    with mock.patch.object(factor, "_pm1_sweep", _returns(None)):
+        alone = _drain(_pollard_pm1(q1 * q2, 10 ** 6, 1))
+    calls = _recording_sweep(monkeypatch)
+    assert _drain(_pollard_pm1(q1 * q2, 10 ** 6, 1)) == alone == q1
+    assert calls == [(52667, 10 ** 6, None, 0)]
+    assert factorize(q1 * q2) == {q2: 1, q1: 1}
+
+
+def test_pm1_spends_at_most_the_rho_budget(monkeypatch):
+    # the safe primes of the test below: neither q - 1 is smooth, so p-1
+    # runs stage 1 to B1 and the sweep over every prime it covers, and still
+    # ends within RHO_BUDGET
+    q1, q2 = 1000000000547, 1000002002543
+    calls = _recording_sweep(monkeypatch)
+    found, work = _work(dict(factor._STAGES)["p-1"](q1 * q2, 1))
+    assert found is None and len(calls) == 1
+    lo, b1, _, swept = calls[0]
+    assert b1 == factor.RHO_BUDGET // 2
+    assert swept == 2 * sum(1 for q in oracles.primes_below(b1 + 1) if q > lo)
+    assert work <= factor.RHO_BUDGET
 
 
 def test_race_gives_up_on_a_product_of_safe_primes(monkeypatch):

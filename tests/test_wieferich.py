@@ -195,6 +195,30 @@ def test_lucas_screen_for_phi_is_the_wss_screen():
             assert lucas_screen(p, 1, -1, 1, 5) == wss_screen(p), p
 
 
+def test_wss_screen_reads_f_of_p_minus_5_over_p_mod_p_squared(monkeypatch):
+    # no Wall-Sun-Sun prime is known, so the screen's verdict is False at
+    # every prime a test can reach; check what it computes instead: the
+    # chain it asks for, F_(p - (5/p)) mod p^2 against plain iteration, and
+    # that it answers True exactly when that value is 0
+    from quadrec import wieferich
+    asked, real = [], wieferich._fib_pair
+
+    def recording(k, m):
+        asked.append((k, m))
+        return real(k, m)
+
+    monkeypatch.setattr(wieferich, "_fib_pair", recording)
+    for p in oracles.primes_below(3000)[3:]:  # 7 <= p < 3000
+        asked.clear()
+        assert not wss_screen(p), p
+        k = p - oracles.legendre(5, p)
+        assert asked == [(k, p * p)], p
+        assert real(k, p * p)[0] == oracles.fib_mod(k, p * p), p
+    for pair, verdict in (((0, 1), True), ((1, 0), False), ((1, 1), False)):
+        monkeypatch.setattr(wieferich, "_fib_pair", lambda k, m: pair)
+        assert wss_screen(7) is verdict
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_wss_screen_refuses_the_exceptional_primes(p):
     with pytest.raises(UsageError):
