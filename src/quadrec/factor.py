@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import FactorizationError, InvariantBreachError
 
@@ -19,7 +19,7 @@ from .errors import FactorizationError, InvariantBreachError
 TRIAL_LIMIT = 10 ** 6
 _TRIAL_SQ = TRIAL_LIMIT ** 2
 RHO_BUDGET = 2_000_000
-SEGMENT = 1 << 16  # numbers per segment of the prime sieve
+SEGMENT = 1 << 16  # numbers per segment of the prime sieve; even
 
 # Trial division by every prime through 61 runs first, so no Miller-Rabin
 # base below is ever 0 mod n.
@@ -88,8 +88,8 @@ def _pollard_brent(n: int, budget: int) -> Iterator[int]:
     """Brent's rho on composite odd n, run a doubling round per next().
 
     Yields the modular squarings each fruitless round spent, and returns a
-    factor d > 1 of n (not n itself), or None once the rounds have spent
-    more than budget or the parameter sweep ends.
+    factor d > 1 of n (not n itself), or None after the first round that
+    takes the total past budget, or when the parameter sweep ends.
     """
     used = 0
     for c in range(1, 64):
@@ -109,10 +109,10 @@ def _pollard_brent(n: int, budget: int) -> Iterator[int]:
                 k += 128
             if g != 1:
                 break
+            yield 2 * m
             used += 2 * m
             if used > budget:
                 return None
-            yield 2 * m
             m *= 2
         if g == n:
             # backtrack one step at a time
@@ -205,14 +205,16 @@ def _pm1_sweep(n: int, b: int, lo: int, hi: int) -> Iterator[int]:
 # work of each fruitless step and returns a proper factor or None.  The
 # stage that has spent less runs next (the first listed on a tie), so a
 # split costs at most about twice what the cheaper stage needs: Brent's rho
-# stops after RHO_BUDGET modular squarings, and Pollard's p-1 after stage 1
+# stops after the first doubling round that takes its modular squarings past
+# RHO_BUDGET (2,096,896 of them at 2 * 10^6), and Pollard's p-1 after stage 1
 # has raised through the prime powers up to B1 = RHO_BUDGET // 2 (exponent
 # bits, a squaring each) and its one stage-2 sweep, from past B1/20 up to B1,
 # has spent two products per prime: about 1.44 + 0.15 = 1.59 * B1 in all,
-# within RHO_BUDGET, so rho runs every round it would run beside stage 1
-# alone.  The race ends with FactorizationError when every stage has stopped
-# or together they pass 2 * RHO_BUDGET.  The factories look RHO_BUDGET and the
-# methods up at call time, so patching them on this module reaches the race.
+# within RHO_BUDGET.  Together that stays below 2 * RHO_BUDGET, so each stage
+# runs every step it would run alone.  The race ends with FactorizationError
+# when every stage has stopped or together they pass 2 * RHO_BUDGET.  The
+# factories look RHO_BUDGET and the methods up at call time, so patching
+# them on this module reaches the race.
 _STAGES = (
     ("rho", lambda n, index: _pollard_brent(n, RHO_BUDGET)),
     ("p-1", lambda n, index: _pollard_pm1(n, RHO_BUDGET // 2, index)),
@@ -339,21 +341,30 @@ def primes_below(n: int) -> list[int]:
     return list(iter_primes(2, n))
 
 
-def _prime_segments(lo: int, hi: int) -> Iterator[Iterator[int]]:
-    """The primes in [lo, hi), a segment at a time, sieved by primes_below."""
+def _prime_segments(lo: int, hi: int) -> Iterator[Iterable[int]]:
+    """The primes in [lo, hi), a segment at a time, sieved by primes_below.
+
+    2 comes on its own; each segment marks only its odd numbers, one byte
+    per odd number, and a segment starts odd because SEGMENT is even.
+    """
     lo = max(lo, 2)
     if lo >= hi:
         return
-    base = primes_below(math.isqrt(hi - 1) + 1)
-    for start in range(lo, hi, SEGMENT):
+    if lo == 2:
+        yield (2,)
+    base = primes_below(math.isqrt(hi - 1) + 1)[1:]
+    for start in range(lo | 1, hi, SEGMENT):
         end = min(start + SEGMENT, hi)
-        marks = bytearray([1]) * (end - start)
+        odds = range(start, end, 2)
+        marks = bytearray([1]) * len(odds)
         for p in base:
             if p * p >= end:
                 break
-            first = max(p * p, (start + p - 1) // p * p)
-            marks[first - start::p] = bytearray(len(range(first, end, p)))
-        yield itertools.compress(range(start, end), marks)
+            # the first odd multiple of p in the segment, at or past p^2
+            first = max(p * p, ((start + p - 1) // p | 1) * p)
+            cross = range((first - start) >> 1, len(odds), p)
+            marks[cross.start::p] = bytes(len(cross))
+        yield itertools.compress(odds, marks)
 
 
 def iter_primes(lo: int, hi: int) -> Iterator[int]:

@@ -4,10 +4,10 @@ The Fermat quotient k_p is the first-order term in gamma^(N(P)-1) = 1 + k_p*p
 mod P^2; a prime is (gamma-base) Wieferich exactly when k_p = 0.  The Wall
 period test and the Fibonacci-entry divisibility test are two deliberately
 independent detectors for the Fibonacci case; they must always agree.
-wss_screen is the scan's cheap form of the same verdict: one Fibonacci
-chain on the formula side, which never replaces the two detectors when a
-hit is verified.  lucas_screen is the same move for a quadratic base: one
-Lucas chain mod p^3 decides whether some ideal above p is a hit, and the
+wss_screen is the scan's cheap form of the same verdict: one Lucas chain
+(_lucas_v) on the formula side, which never replaces the two detectors when
+a hit is verified.  lucas_screen is the same move for a quadratic base: the
+same chain mod p^3 decides whether some ideal above p is a hit, and the
 Fermat quotient at each ideal stays the route that names and verifies it.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
 from .factor import iter_primes, kronecker
-from .periods import _fib_pair, pisano_prime_power
+from .periods import pisano_prime_power
 from .ring import (
     PrimeIdealData,
     _prime_ideals_above,
@@ -83,16 +83,35 @@ def wall_period_test(p: int) -> WallVerdict:
     return WallVerdict(p, k1, k2, k1 == k2)
 
 
+def _lucas_v(s: int, k: int, m: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod m for the Lucas sequence of (s, 1), with V_0 = 2,
+    V_1 = s and V_(j+1) = s*V_j - V_(j-1), walking the bits of k high to low.
+    """
+    v0, v1 = 2 % m, s % m  # V_j and V_(j+1), from j = 0
+    for bit in bin(k)[2:]:
+        if bit == "1":  # j -> 2j + 1
+            v0, v1 = (v0 * v1 - s) % m, (v1 * v1 - 2) % m
+        else:           # j -> 2j
+            v0, v1 = (v0 * v0 - 2) % m, (v0 * v1 - s) % m
+    return v0, v1
+
+
 def wss_screen(p: int) -> bool:
-    """p^2 | F_{p - (5/p)}, from one fast-doubling chain mod p^2.
+    """p^2 | F_{p - (5/p)}, from one Lucas chain mod p^2 over half the index.
 
     For p outside {2, 5} this is Wall's verdict (McIntosh and Roettger,
     Math. Comp. 76 (2007)): the entry point z(p^2) is z(p) or p*z(p), and
-    z(p) divides p - (5/p), which p does not divide.
+    z(p) divides p - (5/p), which p does not divide.  (5/p) = (p/5) by
+    quadratic reciprocity, since 5 = 1 mod 4: it is 1 exactly when p is
+    1 or 4 mod 5.  p - (5/p) = 2k is even, and phi^2 has trace 3 and norm
+    1, so its Lucas sequences give U_k(3, 1) = F_2k and V_k = V_k(3, 1);
+    5*U_k = 2*V_(k+1) - 3*V_k, and 5 is a unit mod p^2.
     """
     if p in (2, 5):
         raise UsageError("the two exceptional primes carry no verdict here")
-    return _fib_pair(p - kronecker(5, p), p * p)[0] == 0
+    m = p * p
+    v0, v1 = _lucas_v(3, (p - (1 if p % 5 in (1, 4) else -1)) >> 1, m)
+    return (2 * v1 - 3 * v0) % m == 0
 
 
 def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
@@ -113,12 +132,7 @@ def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
     inv = pow(norm, -1, m)
     s = (trace * trace - 2 * norm) * inv % m
     c = pow(den * den * inv, p - 1, m)
-    v0, v1 = 2, s  # V_j and V_(j+1), from j = 0
-    for bit in bin(p - kronecker(disc, p))[2:]:
-        if bit == "1":  # j -> 2j + 1
-            v0, v1 = (v0 * v1 - s) % m, (v1 * v1 - 2) % m
-        else:           # j -> 2j
-            v0, v1 = (v0 * v0 - 2) % m, (v0 * v1 - s) % m
+    v0 = _lucas_v(s, p - kronecker(disc, p), m)[0]
     return (c * c - c * v0 + 1) % m == 0
 
 

@@ -16,6 +16,15 @@ def fib_mod(k: int, m: int) -> int:
     return a
 
 
+def lucas_v(s: int, k: int, m: int) -> tuple[int, int]:
+    """(V_k, V_(k+1)) mod m by plain iteration of V_(j+1) = s*V_j - V_(j-1),
+    V_0 = 2, V_1 = s."""
+    a, b = 2 % m, s % m
+    for _ in range(k):
+        a, b = b, (s * b - a) % m
+    return a, b
+
+
 def pisano_brute(m: int) -> int:
     """Period of F mod m by scanning for the first return of (0, 1)."""
     assert m >= 2

@@ -782,6 +782,16 @@ def test_race_gives_up_on_a_product_of_safe_primes(monkeypatch):
     assert re.search(r"\(work spent: rho \d+, p-1 \d+\)$", str(info.value))
 
 
+def test_rho_yields_the_work_of_every_round_it_runs(monkeypatch):
+    # rho stops after the first doubling round that passes its budget, and
+    # that round's squarings are yielded too: with a budget of 5000 the
+    # rounds spend 256 + 512 + 1024 + 2048 + 4096 = 7936, not the first
+    # four's 3840
+    q1, q2 = 1000000000547, 1000002002543
+    monkeypatch.setattr(factor, "RHO_BUDGET", 5_000)
+    assert _work(dict(factor._STAGES)["rho"](q1 * q2, 1)) == (None, 7936)
+
+
 def test_ring_does_not_re_export_the_factoring_internals():
     # a test that patches one of these on ring must raise, not patch nothing
     for name in ("RHO_BUDGET", "SEGMENT", "TRIAL_LIMIT", "_STAGES",

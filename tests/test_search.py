@@ -39,6 +39,23 @@ def test_iter_primes_matches_sieve(monkeypatch):
     assert factor.primes_below(5000) == got
 
 
+def test_iter_primes_matches_the_oracle_on_every_small_range(monkeypatch):
+    # the sieve marks odd numbers only and yields 2 on its own, so check
+    # every range with 0 <= lo <= hi <= 200, then ranges across the edges
+    # of 64-number segments with lo and hi both odd and even
+    def check(lo, hi):
+        want = [p for p in oracles.primes_below(hi) if p >= lo]
+        assert list(iter_primes(lo, hi)) == want, (lo, hi)
+
+    for lo in range(201):
+        for hi in range(lo, 201):
+            check(lo, hi)
+    monkeypatch.setattr(factor, "SEGMENT", 64)
+    for lo in (0, 1, 2, 3, 4, 64, 65, 127, 128, 1000, 1001):
+        for span in (0, 1, 63, 64, 65, 128, 129, 3998, 3999):
+            check(lo, lo + span)
+
+
 def test_empty_range_checkpoint():
     ck = search_range(wieferich_predicate(2), 10, 10)
     assert ck.cursor == 10 and ck.hits == [] and ck.primes_scanned == 0

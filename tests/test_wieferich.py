@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from quadrec.errors import DegenerateInputError, UsageError
@@ -198,25 +198,40 @@ def test_lucas_screen_for_phi_is_the_wss_screen():
 def test_wss_screen_reads_f_of_p_minus_5_over_p_mod_p_squared(monkeypatch):
     # no Wall-Sun-Sun prime is known, so the screen's verdict is False at
     # every prime a test can reach; check what it computes instead: the
-    # chain it asks for, F_(p - (5/p)) mod p^2 against plain iteration, and
-    # that it answers True exactly when that value is 0
+    # half-length chain it asks for, that 2*V_(k+1) - 3*V_k of that chain is
+    # 5*F_(p - (5/p)) mod p^2 against plain iteration, and that it answers
+    # True exactly when that value is 0
     from quadrec import wieferich
-    asked, real = [], wieferich._fib_pair
+    asked, real = [], wieferich._lucas_v
 
-    def recording(k, m):
-        asked.append((k, m))
-        return real(k, m)
+    def recording(s, k, m):
+        asked.append((s, k, m))
+        return real(s, k, m)
 
-    monkeypatch.setattr(wieferich, "_fib_pair", recording)
-    for p in oracles.primes_below(3000)[3:]:  # 7 <= p < 3000
+    monkeypatch.setattr(wieferich, "_lucas_v", recording)
+    for p in oracles.primes_below(3000)[1:]:  # 3 <= p < 3000
+        if p == 5:
+            continue
         asked.clear()
         assert not wss_screen(p), p
-        k = p - oracles.legendre(5, p)
-        assert asked == [(k, p * p)], p
-        assert real(k, p * p)[0] == oracles.fib_mod(k, p * p), p
-    for pair, verdict in (((0, 1), True), ((1, 0), False), ((1, 1), False)):
-        monkeypatch.setattr(wieferich, "_fib_pair", lambda k, m: pair)
-        assert wss_screen(7) is verdict
+        n, m = p - oracles.legendre(5, p), p * p
+        assert asked == [(3, n // 2, m)], p
+        v0, v1 = real(3, n // 2, m)
+        assert (2 * v1 - 3 * v0) % m == 5 * oracles.fib_mod(n, m) % m, p
+    # 2*v1 - 3*v0 at p = 7: 0, 49, 0, -5, 1 and 3
+    for pair, verdict in (((0, 0), True), ((1, 26), True), ((2, 3), True),
+                          ((3, 2), False), ((1, 2), False), ((1, 3), False)):
+        monkeypatch.setattr(wieferich, "_lucas_v", lambda s, k, m: pair)
+        assert wss_screen(7) is verdict, pair
+
+
+@settings(max_examples=200)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(0, 300),
+       st.integers(2, 10 ** 9))
+def test_lucas_chain_matches_plain_iteration(s, k, m):
+    # the one chain both scan screens read, against V_(j+1) = s*V_j - V_(j-1)
+    from quadrec.wieferich import _lucas_v
+    assert _lucas_v(s, k, m) == oracles.lucas_v(s, k, m)
 
 
 @pytest.mark.parametrize("p", [2, 5])
