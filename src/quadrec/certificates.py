@@ -14,11 +14,10 @@ from itertools import combinations
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
 from .factor import factorize
-from .periods import multiplicative_order
+from .periods import least_period
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
-    ResidueElement,
     as_element,
     ideal_factors,
     is_torsion,
@@ -84,9 +83,9 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
     Filter: v_P(Phi_n(gamma)) = 1, P unramified, p does not divide n, and P
     outside the support of the ideal (gamma), numerator and denominator
     alike.  Every survivor is then verified on both claims; a verification
-    failure is a library bug.  The order is proven equal to n from
-    gamma^n = 1 and gamma^(n/r) != 1 (mod P) for each prime r | n, so
-    N(P) +- 1 is never factored.
+    failure is a library bug.  The order is proven equal to n by
+    periods.least_period: gamma^n = 1 (mod P), and stripping n's own primes
+    leaves n, so N(P) +- 1 is never factored.
     """
     g = as_element(gamma)
     factors = cyclotomic_factors(g, n)  # refuses torsion
@@ -99,11 +98,11 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
         if P.kind == "ramified":
             continue  # no order/Wieferich verdicts at ramified primes
         x = reduce(g, (P, 1))
-        if not _has_order(x, n, n_primes):
-            try:
-                order = multiplicative_order(x)
-            except FactorizationError:  # p - 1 did not factor
-                order = "unknown"
+        if not residue_pow(x, n).is_one():
+            raise InvariantBreachError(
+                f"certificate order failure at {P.label()}: gamma^n != 1, n={n}")
+        order = least_period(n, n_primes, lambda j: residue_pow(x, j).is_one())
+        if order != n:
             raise InvariantBreachError(
                 f"certificate order failure at {P.label()}: ord={order}, n={n}")
         k_p = fermat_quotient_residue(g, P)
@@ -113,12 +112,6 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
             )
         out.append(NonWieferichCertificate(P.p, P, n, n, k_p))
     return out
-
-
-def _has_order(x: ResidueElement, n: int, n_primes) -> bool:
-    """ord(x) = n, given the primes of n: x^n = 1 and no x^(n/r) = 1."""
-    return residue_pow(x, n).is_one() and not any(
-        residue_pow(x, n // r).is_one() for r in n_primes)
 
 
 @dataclass(frozen=True)

@@ -442,10 +442,15 @@ def run(cfg: RunConfig, out=None) -> int:
 def main(argv=None) -> int:
     try:
         cfg = parse_args(sys.argv[1:] if argv is None else argv)
-        return run(cfg)
+        code = run(cfg)
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+        return code
     except QuadrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # silence the exit-time flush; 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -163,6 +163,16 @@ def ideal_factorization(field: Optional[QuadraticField],
             for P in _prime_ideals_above(field, p)]
 
 
+def least_period(k: int, primes, holds) -> int:
+    """Least j | k with holds(j), where holds marks the multiples of one
+    period (x^j = 1 marks those of ord(x)), holds(k) is true and `primes`
+    has every prime of k: each q is stripped while k/q still holds."""
+    for q in primes:
+        while k % q == 0 and holds(k // q):
+            k //= q
+    return k
+
+
 def multiplicative_order(x: ResidueElement) -> int:
     """Smallest k >= 1 with x^k = 1, by stripping primes from the group order.
 
@@ -186,10 +196,11 @@ def multiplicative_order(x: ResidueElement) -> int:
         raise InvariantBreachError(
             f"stripped multiple {k} is not the unit-group order at {P.label()}^{e}"
         )
-    for q in fac:
-        while k % q == 0 and residue_pow(x, k // q).is_one():
-            k //= q
-    return k
+
+    def is_one(j):  # x^j = 1, with no is_one() call per check
+        r = residue_pow(x, j)
+        return r.u == 1 and r.v == 0
+    return least_period(k, fac, is_one)
 
 
 def period_formula(t: RecurrenceTuple,
@@ -206,10 +217,11 @@ def period_formula(t: RecurrenceTuple,
             raise DegenerateInputError(
                 f"tuple {t.name or t} is degenerate at {P.label()}"
             )
+        label = f"{P.label()}^{e}"
         for j, gen in enumerate(t.a):
             k = multiplicative_order(reduce(gen, (P, e)))
-            orders.append((j, f"{P.label()}^{e}", k))
-            period = period * k // math.gcd(period, k)
+            orders.append((j, label, k))
+            period = math.lcm(period, k)
     return PeriodReport(period, tuple(orders), "formula")
 
 
@@ -364,24 +376,12 @@ def pisano_prime_power(p: int, e: int) -> int:
     mod p^e divides p^(e-1) times the period mod p.
     """
     sym = kronecker(5, p)
-    if sym == 1:
-        fac = dict(factorize(p - 1))
-    elif sym == -1:
-        fac = dict(factorize(p + 1))
-        fac[2] = fac.get(2, 0) + 1  # multiple is 2(p+1) in the inert case
-    else:
-        fac = {2: 2, 5: 1}  # pi(5) = 20 at the ramified p = 5
-    fac[p] = fac.get(p, 0) + e - 1
-    pe = p ** e
-    k = 1
-    for q, a in fac.items():
-        k *= q ** a
+    base = p - 1 if sym == 1 else 2 * (p + 1) if sym == -1 else 20
+    k, pe = base * p ** (e - 1), p ** e
     if not _is_fib_period(k, pe):
         raise InvariantBreachError(f"{k} is not a Fibonacci period mod {p}^{e}")
-    for q in fac:
-        while k % q == 0 and _is_fib_period(k // q, pe):
-            k //= q
-    return k
+    return least_period(k, (*factorize(base), p),
+                        lambda j: _is_fib_period(j, pe))
 
 
 def pisano(m: int) -> int:

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from quadrec.certificates import (
     CertifiedCount,
     NonWieferichCertificate,
-    _has_order,
     certificate_for_n,
     certified_count,
     cyclotomic_value,
     witness_limit,
 )
 from quadrec.errors import FactorizationError, InvariantBreachError, UsageError
-from quadrec.periods import multiplicative_order
+from quadrec.factor import factorize
+from quadrec.periods import least_period, multiplicative_order
 from quadrec.ring import (as_element, field_norm, ideal_factors,
                           prime_ideals_above, qelem, quadratic_field, reduce,
-                          sqrt_element)
+                          residue_pow, sqrt_element)
 
 K2 = quadratic_field(2)
 K5 = quadratic_field(5)
@@ -352,32 +352,54 @@ def test_order_proof_agrees_with_measured_order():
 
 
 def test_order_proof_refuses_a_wrong_order():
-    # 2 has order 5 mod 31 and 3 has order 30
+    # 2 has order 5 mod 31 and 3 has order 30: stripping n's primes lands
+    # on the order, so any n it leaves changed is refused
     (P,) = prime_ideals_above(None, 31)
     two, three = reduce(2, (P, 1)), reduce(3, (P, 1))
-    assert _has_order(two, 5, [5])
-    assert not _has_order(two, 10, [2, 5])   # the order is n/r
-    assert not _has_order(three, 15, [3, 5])  # the order is 2n
+
+    def strip(x, n):
+        return least_period(n, factorize(n), lambda j: residue_pow(x, j).is_one())
+    assert strip(two, 5) == 5
+    assert strip(two, 10) == 5   # the order is n/r
+    assert strip(three, 60) == 30
+
+
+def _claim_31_divides_phi_10(monkeypatch):
+    """Let certificates read 31 || Phi_10(2); 2 has order 5 mod 31."""
+    import quadrec.certificates as mod
+    real = mod.cyclotomic_factors
+    (P31,) = prime_ideals_above(None, 31)
+    monkeypatch.setattr(mod, "cyclotomic_factors",
+                        lambda g, d: [(P31, 1)] if d == 10 else real(g, d))
 
 
 def test_failed_order_proof_reports_the_measured_order(monkeypatch):
-    import quadrec.certificates as mod
-    monkeypatch.setattr(mod, "_has_order", lambda x, n, n_primes: False)
-    with pytest.raises(InvariantBreachError, match=r"ord=10, n=10"):
-        certificate_for_n(2, 10)  # Phi_10(2) = 11, where 2 has order 10
+    _claim_31_divides_phi_10(monkeypatch)
+    with pytest.raises(InvariantBreachError, match=r"at 31: ord=5, n=10"):
+        certificate_for_n(2, 10)
 
 
 def test_failed_order_proof_is_a_breach_when_p_minus_1_does_not_factor(
         monkeypatch):
-    # the message's measured order needs p - 1 factored; without it the
-    # breach still stands, and the index is not recorded as skipped
-    import quadrec.certificates as mod
+    # the order proof strips n's own primes, so a p - 1 that does not factor
+    # changes neither the breach nor its measured order, and the index is
+    # not recorded as skipped
     import quadrec.periods
 
     def refuse(*args):
         raise FactorizationError("p - 1 does not split")
 
-    monkeypatch.setattr(mod, "_has_order", lambda x, n, n_primes: False)
+    _claim_31_divides_phi_10(monkeypatch)
     monkeypatch.setattr(quadrec.periods, "factorize", refuse)
-    with pytest.raises(InvariantBreachError, match=r"at 3: ord=unknown, n=2"):
-        certified_count(2, 1000)
+    with pytest.raises(InvariantBreachError, match=r"at 31: ord=5, n=10"):
+        certified_count(2, 2048)
+
+
+def test_order_proof_refuses_gamma_n_not_one(monkeypatch):
+    # 2 has order 3 mod 7, so 2^10 = 2 (mod 7): no order to strip
+    import quadrec.certificates as mod
+    (P7,) = prime_ideals_above(None, 7)
+    monkeypatch.setattr(mod, "cyclotomic_factors", lambda g, d: [(P7, 1)])
+    with pytest.raises(InvariantBreachError,
+                       match=r"at 7: gamma\^n != 1, n=10"):
+        certificate_for_n(2, 10)

@@ -745,3 +745,24 @@ def test_error_exit_codes(monkeypatch, capsys):
         monkeypatch.setattr("quadrec.cli.run", boom)
         code, _, err = run_cli(capsys, "rank", "--gen", "2")
         assert code == want and "error: x" in err
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("certify", "--base", "-2", "--bound", "100", "--emit", "csv"),
+    ("search-wieferich", "--base", "1", "--to", "3000")])
+def test_closed_stdout_exits_141_without_a_traceback(argv, buffered):
+    # the read end is closed before the child writes, so its first write
+    # or its flush meets EPIPE; buffered or not, it exits as after SIGPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadrec.cli", *argv],
+        env={**env, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err

@@ -95,8 +95,8 @@ def test_heavy_dependencies_load_on_first_use(path):
     assert found == [], f"{path.name}: module-body imports {sorted(found)}"
 
 
-FORMULA_ROUTE = ("period_formula", "multiplicative_order", "pisano_prime_power",
-                 "pisano", "_fib_pair", "_is_fib_period")
+FORMULA_ROUTE = ("period_formula", "multiplicative_order", "least_period",
+                 "pisano_prime_power", "pisano", "_fib_pair", "_is_fib_period")
 ORACLE = {"period_bruteforce", "_state_period", "_int_state_period",
           "_pair_state_period", "_pair_embedding", "_to_pair"}
 WSS_DETECTOR = ("wss_divisibility_test", "_mat_mul2")

@@ -20,6 +20,7 @@ from quadrec.periods import (
     ideal_factorization,
     initial_terms,
     is_degenerate,
+    least_period,
     lucas_tuple,
     multiplicative_order,
     period_bruteforce,
@@ -162,6 +163,17 @@ def test_degenerate_flags():
 
 # ---------------------------------------------------------------------------
 # multiplicative order
+
+
+def test_least_period_strips_to_every_divisor():
+    # "j is a multiple of d" holds at K for every d | K, and its least
+    # period is d; K = 1 has no primes, and 2^8, 3^5, 2^2*3^2*5 repeat them
+    for K in range(1, 501):
+        primes = [q for q in range(2, K + 1)
+                  if K % q == 0 and all(q % r for r in range(2, q))]
+        for d in range(1, K + 1):
+            if K % d == 0:
+                assert least_period(K, primes, lambda j: j % d == 0) == d
 
 
 def test_order_examples():
