@@ -173,6 +173,16 @@ def least_period(k: int, primes, holds) -> int:
     return k
 
 
+@functools.lru_cache(maxsize=1024)
+def _residue_field_order(p: int, f: int) -> tuple[tuple[int, int], ...]:
+    """(q, a) for each q^a exactly dividing (p - 1)(p + 1 when f = 2)."""
+    fac = factorize(p - 1)
+    if f == 2:
+        for q, a in factorize(p + 1).items():
+            fac[q] = fac.get(q, 0) + a
+    return tuple(fac.items())
+
+
 def multiplicative_order(x: ResidueElement) -> int:
     """Smallest k >= 1 with x^k = 1, by stripping primes from the group order.
 
@@ -182,10 +192,7 @@ def multiplicative_order(x: ResidueElement) -> int:
     if not x.is_unit():
         raise DegenerateInputError("multiplicative order of a non-unit")
     P, e = x.modulus
-    fac = dict(factorize(P.p - 1))
-    if P.f == 2:
-        for q, a in factorize(P.p + 1).items():
-            fac[q] = fac.get(q, 0) + a
+    fac = dict(_residue_field_order(P.p, P.f))
     if e > 1:
         fac[P.p] = fac.get(P.p, 0) + (e - 1) * P.f
     k = 1

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, InvariantBreachError, UsageError
-from .factor import is_prime, iter_primes
+from .factor import is_prime, iter_primes, kronecker
 from .ring import _prime_ideals_above, as_element, field_norm, ideal_factors
-from .wieferich import (fermat_quotient_residue, lucas_screen,
+from .wieferich import (fermat_quotient_residue, lucas_screen, unit_screen,
                         wall_period_test, wss_divisibility_test, wss_screen)
 
 CHECKPOINT_VERSION = 1
@@ -215,10 +215,12 @@ def wieferich_predicate(base) -> SearchPredicate:
     A quadratic base (a + b*w)/den has two routes.  The ideal route builds
     the ideals above p and takes the Fermat quotient at each admissible
     one.  test runs it only on the bad primes, 2 and those dividing
-    den*disc*N(a + b*w), and on the good primes that pass lucas_screen,
+    den*disc*N(a + b*w), and on the good primes that pass the screen,
     which decides with one chain of plain ints whether any ideal above p
-    is a hit.  The screen is exact at good primes, so a screened prime
-    with no hit is a bug.  verify takes the ideal route alone.
+    is a hit: unit_screen for an integral unit of trace t and norm N with
+    t*(t^2 - 4N) != 0, whose primes are bad too, else lucas_screen.  It is
+    exact at good primes, so a screened prime with no hit is a bug.
+    verify takes the ideal route alone.
     """
     g = as_element(base)
     if g.is_zero():
@@ -244,7 +246,10 @@ def wieferich_predicate(base) -> SearchPredicate:
         disc, den = g.field.disc, g.den
         trace = 2 * g.num_a + g.field.omega_trace * g.num_b
         norm = int(field_norm(g) * den * den)
-        bad = 2 * den * disc * norm
+        tail = trace * (trace * trace - 4 * norm)  # 0 at +-1 and +-sqrt(-1)
+        unit = den == 1 and norm in (1, -1) and tail != 0
+        bad = 2 * den * disc * norm * (tail if unit else 1)
+        syms, sym_mod = {}, 4 * abs(disc)  # (disc/p) is a character mod 4|disc|
 
         def route(p: int) -> Optional[dict]:
             ideals = [P for P in _prime_ideals_above(g.field, p)
@@ -261,13 +266,15 @@ def wieferich_predicate(base) -> SearchPredicate:
         def test(p: int) -> Optional[dict]:
             if bad % p == 0:
                 return route(p)
-            if not lucas_screen(p, trace, norm, den, disc):
+            if (sym := syms.get(p % sym_mod)) is None:
+                sym = syms[p % sym_mod] = kronecker(disc, p)
+            if not (unit_screen(p, trace, norm, sym) if unit
+                    else lucas_screen(p, trace, norm, den, sym)):
                 return None
             hit = route(p)
             if hit is None:
                 raise InvariantBreachError(
-                    f"p={p} passes the Lucas screen mod p^3, but no ideal "
-                    f"above it is a hit")
+                    f"p={p} passes the Lucas screen, but no ideal above it is a hit")
             return hit
 
     def verify(hit: dict) -> bool:

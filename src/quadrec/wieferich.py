@@ -4,11 +4,10 @@ The Fermat quotient k_p is the first-order term in gamma^(N(P)-1) = 1 + k_p*p
 mod P^2; a prime is (gamma-base) Wieferich exactly when k_p = 0.  The Wall
 period test and the Fibonacci-entry divisibility test are two deliberately
 independent detectors for the Fibonacci case; they must always agree.
-wss_screen is the scan's cheap form of the same verdict: one Lucas chain
-(_lucas_v) on the formula side, which never replaces the two detectors when
-a hit is verified.  lucas_screen is the same move for a quadratic base: the
-same chain mod p^3 decides whether some ideal above p is a hit, and the
-Fermat quotient at each ideal stays the route that names and verifies it.
+The scans screen a prime with one Lucas chain (_lucas_v), never in place
+of the detectors or the Fermat quotients that verify a hit: unit_screen
+runs it mod p^2 for an integral unit (wss_screen is its instance at phi),
+and lucas_screen mod p^3 for any other quadratic base.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
-from .factor import iter_primes, kronecker
+from .factor import iter_primes
 from .periods import pisano_prime_power
 from .ring import (
     PrimeIdealData,
@@ -88,39 +87,51 @@ def _lucas_v(s: int, k: int, m: int) -> tuple[int, int]:
     V_1 = s and V_(j+1) = s*V_j - V_(j-1), walking the bits of k high to low.
     """
     v0, v1 = 2 % m, s % m  # V_j and V_(j+1), from j = 0
-    for bit in bin(k)[2:]:
+    for bit in bin(k)[2:]:  # each step reads the old value before replacing it
         if bit == "1":  # j -> 2j + 1
-            v0, v1 = (v0 * v1 - s) % m, (v1 * v1 - 2) % m
+            v0 = (v0 * v1 - s) % m
+            v1 = (v1 * v1 - 2) % m
         else:           # j -> 2j
-            v0, v1 = (v0 * v0 - 2) % m, (v0 * v1 - s) % m
+            v1 = (v0 * v1 - s) % m
+            v0 = (v0 * v0 - 2) % m
     return v0, v1
 
 
+def unit_screen(p: int, trace: int, norm: int, sym: int) -> bool:
+    """Whether the integral unit eps of trace t and norm N = +-1 is Wieferich
+    at some ideal above p, from one Lucas chain mod p^2 over half the index.
+
+    p is odd and divides none of disc, t and t^2 - 4N; sym = (disc/p), and
+    k = p - sym is even.  As eps'^k = eps^-k, the answer is p^2 | U_k(t, N)
+    = t*U_(k/2)(s, 1) for s = t^2 - 2N, and (s^2 - 4)*U_j(s, 1) is
+    2*V_(j+1) - s*V_j, with s^2 - 4 = t^2*(t^2 - 4N) prime to p (Lehmer 1930).
+    """
+    m, s = p * p, trace * trace - 2 * norm
+    v0, v1 = _lucas_v(s, (p - sym) >> 1, m)
+    return (2 * v1 - s * v0) % m == 0
+
+
 def wss_screen(p: int) -> bool:
-    """p^2 | F_{p - (5/p)}, from one Lucas chain mod p^2 over half the index.
+    """p^2 | F_{p - (5/p)}: unit_screen at phi, of trace 1 and norm -1.
 
     For p outside {2, 5} this is Wall's verdict (McIntosh and Roettger,
     Math. Comp. 76 (2007)): the entry point z(p^2) is z(p) or p*z(p), and
     z(p) divides p - (5/p), which p does not divide.  (5/p) = (p/5) by
     quadratic reciprocity, since 5 = 1 mod 4: it is 1 exactly when p is
-    1 or 4 mod 5.  p - (5/p) = 2k is even, and phi^2 has trace 3 and norm
-    1, so its Lucas sequences give U_k(3, 1) = F_2k and V_k = V_k(3, 1);
-    5*U_k = 2*V_(k+1) - 3*V_k, and 5 is a unit mod p^2.
+    1 or 4 mod 5.  phi has U_k(1, -1) = F_k and t^2 - 4N = 5.
     """
     if p in (2, 5):
         raise UsageError("the two exceptional primes carry no verdict here")
-    m = p * p
-    v0, v1 = _lucas_v(3, (p - (1 if p % 5 in (1, 4) else -1)) >> 1, m)
-    return (2 * v1 - 3 * v0) % m == 0
+    return unit_screen(p, 1, -1, 1 if p % 5 in (1, 4) else -1)
 
 
-def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
+def lucas_screen(p: int, trace: int, norm: int, den: int, sym: int) -> bool:
     """Whether gamma = delta/den is Wieferich at some ideal above p, from one
     Lucas chain mod p^3; delta = a + b*w is integral, with integer trace and
-    norm, in the field of discriminant disc.
+    norm, and sym is (disc/p) for the discriminant disc of its field.
 
     p must be odd and divide none of den, disc and norm.  eps = delta/delta'
-    has norm 1 and trace S = (trace^2 - 2*norm)/norm.  Let k = p - (disc/p)
+    has norm 1 and trace S = (trace^2 - 2*norm)/norm.  Let k = p - sym
     and c = (den^2/norm)^(p-1): gamma is Wieferich at an ideal above p
     exactly when eps^k is c mod p^2 there.  Both conjugates of eps^k are
     c mod p, so (c - eps^k)(c - eps^-k) = c^2 - c*V_k + 1 is p^2 times a
@@ -132,7 +143,7 @@ def lucas_screen(p: int, trace: int, norm: int, den: int, disc: int) -> bool:
     inv = pow(norm, -1, m)
     s = (trace * trace - 2 * norm) * inv % m
     c = pow(den * den * inv, p - 1, m)
-    v0 = _lucas_v(s, p - kronecker(disc, p), m)[0]
+    v0 = _lucas_v(s, p - sym, m)[0]
     return (c * c - c * v0 + 1) % m == 0
 
 

@@ -100,7 +100,7 @@ FORMULA_ROUTE = ("period_formula", "multiplicative_order", "least_period",
 ORACLE = {"period_bruteforce", "_state_period", "_int_state_period",
           "_pair_state_period", "_pair_embedding", "_to_pair"}
 WSS_DETECTOR = ("wss_divisibility_test", "_mat_mul2")
-SCREENS = ("_lucas_v", "wss_screen", "lucas_screen")
+SCREENS = ("_lucas_v", "unit_screen", "wss_screen", "lucas_screen")
 IDEAL_ROUTE = {"fermat_quotient_residue", "reduce", "residue_pow",
                "_prime_ideals_above"}
 
@@ -291,6 +291,7 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
         "def _mat_mul2(A, B, m):\n    return A\n"
         "def wss_divisibility_test(p):\n    return pisano_prime_power(p, 1)\n"
         "def _lucas_v(s, k, m):\n    return _mat_mul2(s, k, m)\n"
+        "def unit_screen(p, t, n, sym):\n    return reduce(p, (t, n))\n"
         "def wss_screen(p):\n    return wss_divisibility_test(p)\n"
         "def lucas_screen(p, P):\n    return fermat_quotient_residue(p, P)\n",
         encoding="utf-8")
@@ -301,6 +302,7 @@ def test_the_checks_catch_what_they_look_for(tmp_path):
             "{'pisano': ['period_bruteforce'], "
             "'wss_divisibility_test': ['pisano_prime_power'], "
             "'_lucas_v': ['_mat_mul2'], "
+            "'unit_screen': ['reduce'], "
             "'wss_screen': ['wss_divisibility_test'], "
             "'lucas_screen': ['fermat_quotient_residue'], "
             "'orbit_period': ['period_formula']}")):

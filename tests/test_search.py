@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from quadrec import factor, search
 from quadrec.errors import CheckpointError, InvariantBreachError, UsageError
-from quadrec.ring import as_element, prime_ideals_above, qelem, quadratic_field
+from quadrec.ring import (as_element, field_norm, prime_ideals_above, qelem,
+                          quadratic_field)
 from quadrec.search import (
     SearchPredicate,
     iter_primes,
@@ -18,7 +19,7 @@ from quadrec.search import (
     wall_predicate,
     wieferich_predicate,
 )
-from quadrec.wieferich import WallVerdict
+from quadrec.wieferich import WallVerdict, unit_screen
 
 K5 = quadratic_field(5)
 
@@ -175,20 +176,91 @@ def test_quotients_run_only_at_bad_and_screened_primes(monkeypatch, base, seen):
     assert calls == seen
 
 
+def _refuse(*args):
+    raise AssertionError("this base must not reach this screen")
+
+
 def test_wieferich_predicate_flags_a_screen_the_ideals_contradict(monkeypatch):
-    monkeypatch.setattr(search, "lucas_screen", lambda *args: True)
-    pred = wieferich_predicate(qelem(K5, 0, 1))
-    assert pred.test(2) is None and pred.test(5) is None  # bad: no screen
-    with pytest.raises(InvariantBreachError, match="p=3 passes"):
-        pred.test(3)
+    # phi is a unit and takes unit_screen; 1+2*sqrt 2, of norm -7, takes
+    # lucas_screen.  Neither is a hit at 3, so a screen passing it is a bug.
+    for base, screen, other, bad in (
+            (qelem(K5, 0, 1), "unit_screen", "lucas_screen", (2, 5)),
+            (qelem(quadratic_field(2), 1, 2), "lucas_screen", "unit_screen", (2, 7))):
+        pred = wieferich_predicate(base)
+        with monkeypatch.context() as m:
+            m.setattr(search, screen, _refuse)
+            m.setattr(search, other, _refuse)
+            for p in bad:  # no screen
+                assert pred.test(p) == _hit_by_valuation(base, p), p
+            m.setattr(search, screen, lambda *args: True)
+            with pytest.raises(InvariantBreachError, match="p=3 passes"):
+                pred.test(3)
 
 
 def test_verify_takes_the_ideal_route_alone(monkeypatch):
-    pred = wieferich_predicate(qelem(quadratic_field(2), 1, 1))
-    hit = pred.test(13)
-    monkeypatch.setattr(search, "lucas_screen", lambda *args: False)
-    assert pred.test(13) is None
-    assert pred.verify(hit) is True
+    # 1+sqrt 2 is a unit with the hit 13; 2 in Q(sqrt 5) is no unit, and
+    # 1093 is a hit, inert there
+    for base, p, screen in ((qelem(quadratic_field(2), 1, 1), 13, "unit_screen"),
+                            (qelem(K5, 2, 0), 1093, "lucas_screen")):
+        pred = wieferich_predicate(base)
+        hit = pred.test(p)
+        assert hit is not None
+        with monkeypatch.context() as m:
+            m.setattr(search, screen, lambda *args: False)
+            assert pred.test(p) is None
+            assert pred.verify(hit) is True
+
+
+def test_phi_scan_runs_one_half_length_chain_mod_p_squared_per_good_prime(monkeypatch):
+    # work, not time: phi takes unit_screen, one Lucas chain mod p^2 over
+    # (p - (5/p))/2 at each prime outside {2, 5}, and never lucas_screen
+    from quadrec import wieferich
+    asked, real = [], wieferich._lucas_v
+    monkeypatch.setattr(wieferich, "_lucas_v",
+                        lambda s, k, m: asked.append((k, m)) or real(s, k, m))
+    monkeypatch.setattr(search, "lucas_screen", _refuse)
+    search_range(wieferich_predicate(qelem(K5, 0, 1)), 2, 3000)
+    assert asked == [((p - oracles.legendre(5, p)) // 2, p * p)
+                     for p in oracles.primes_below(3000) if p not in (2, 5)]
+
+
+@pytest.mark.parametrize("d, a, b, p, hit", [
+    (2, 7, 5, 7, False),      # (1+sqrt 2)^3: 7 divides the trace 14
+    (2, 7, 5, 5, False),      # 5 divides t^2 - 4N = 200
+    (6, 5, 2, 5, False),      # 5+2*sqrt 6: 5 divides the trace 10
+    (6, 49, 20, 7, True),     # (5+2*sqrt 6)^2: 7 divides the trace 98
+    (7, 8, 3, 3, False),      # 8+3*sqrt 7: 3 divides t^2 - 4N = 252, not 28
+    (7, 2024, 765, 3, True),  # (8+3*sqrt 7)^3
+])
+def test_unit_bases_send_the_primes_of_t_and_t2_minus_4n_to_the_ideal_route(
+        monkeypatch, d, a, b, p, hit):
+    # there s^2 - 4 = t^2*(t^2 - 4N) is no unit mod p, and the unit screen
+    # passes p whatever the ideals say
+    g = qelem(quadratic_field(d), a, b)
+    t, n = 2 * a + g.field.omega_trace * b, int(field_norm(g))
+    assert unit_screen(p, t, n, oracles.legendre(g.field.disc, p))
+    pred = wieferich_predicate(g)
+    monkeypatch.setattr(search, "unit_screen", _refuse)
+    monkeypatch.setattr(search, "lucas_screen", _refuse)
+    got = pred.test(p)
+    assert got == _hit_by_valuation(g, p) and (got is not None) is hit
+
+
+def test_torsion_units_of_q_i_keep_the_screen_at_every_odd_prime(monkeypatch):
+    # +-sqrt(-1) has trace 0 and +-1 has t^2 = 4N, so t*(t^2 - 4N) = 0 must
+    # not join the bad primes: every odd prime still goes through
+    # lucas_screen, and is a hit, since the base has order dividing 4
+    screened = []
+    real = search.lucas_screen
+    monkeypatch.setattr(search, "lucas_screen",
+                        lambda p, *args: screened.append(p) or real(p, *args))
+    monkeypatch.setattr(search, "unit_screen", _refuse)
+    for a, b in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+        screened.clear()
+        hits = search_range(wieferich_predicate(qelem(quadratic_field(-1), a, b)),
+                            2, 400).hits
+        assert screened == oracles.primes_below(400)[1:]
+        assert [hit["p"] for hit in hits] == screened
 
 
 @settings(max_examples=30)

@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from quadrec.errors import DegenerateInputError, UsageError
 from quadrec.ring import (
     as_element,
+    field_norm,
     prime_ideals_above,
     qelem,
     quadratic_field,
@@ -18,6 +19,7 @@ from quadrec.wieferich import (
     is_alpha_wieferich,
     is_x_fw_prime,
     lucas_screen,
+    unit_screen,
     wall_period_test,
     wss_divisibility_test,
     wss_screen,
@@ -192,7 +194,44 @@ def test_lucas_screen_for_phi_is_the_wss_screen():
     # on (trace, norm) = (1, -1) and the Fibonacci chain mod p^2 must agree
     for p in oracles.primes_below(10 ** 5):
         if p not in (2, 5):
-            assert lucas_screen(p, 1, -1, 1, 5) == wss_screen(p), p
+            assert lucas_screen(p, 1, -1, 1, oracles.legendre(5, p)) == wss_screen(p), p
+
+
+# d -> a fundamental unit a + b*w of Q(sqrt d), and every prime below 600
+# where it is Wieferich at some ideal and that divides none of disc, t and
+# t^2 - 4N
+UNITS = {2: ((1, 1), [13, 31]), 3: ((2, 1), [103]), 5: ((0, 1), []),
+         6: ((5, 2), [7, 523]), 7: ((8, 3), []), 13: ((1, 1), [241])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(UNITS)), st.integers(-3, 3).filter(bool),
+       st.sampled_from((1, -1)))
+@example(2, 1, 1)    # 1+sqrt 2, norm -1
+@example(3, -2, -1)  # -(2+sqrt 3)^-2, norm 1
+@example(13, 3, 1)   # ((3+sqrt 13)/2)^3, norm -1
+def test_unit_screen_is_the_ideal_route_and_lucas_screen(d, j, sign):
+    # +-eps^j for a fundamental unit eps, of either norm: at every good
+    # prime the half-length chain mod p^2 decides what the Fermat quotients
+    # at the ideals and the full chain mod p^3 decide
+    K = quadratic_field(d)
+    (a, b), known = UNITS[d]
+    g = sign * qelem(K, a, b) ** j
+    t, n = int((g + g.conjugate()).as_fraction()), int(field_norm(g))
+    good = [p for p in oracles.primes_below(600)[1:]
+            if K.disc * t * (t * t - 4 * n) % p]
+    passed = []
+    for p in good:
+        sym = oracles.legendre(K.disc, p)
+        by_ideal = any(fermat_quotient_residue(g, P) == 0
+                       for P in prime_ideals_above(K, p) if P.kind != "ramified")
+        assert unit_screen(p, t, n, sym) == by_ideal == lucas_screen(p, t, n, 1, sym), p
+        if by_ideal:
+            passed.append(p)
+    # eps^-1 and -eps are Wieferich where eps is; a power may add primes
+    if abs(j) == 1:
+        assert passed == known
+    assert set(known) & set(good) <= set(passed)
 
 
 def test_wss_screen_reads_f_of_p_minus_5_over_p_mod_p_squared(monkeypatch):
