@@ -9,12 +9,12 @@ for every emitted certificate rather than trusted from the bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FactorizationError, InvariantBreachError, UsageError
 from .factor import factorize
 from .periods import least_period
+from .record import Record
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -60,8 +60,7 @@ def cyclotomic_factors(gamma, d: int) -> list[tuple[PrimeIdealData, int]]:
 # certificates
 
 
-@dataclass(frozen=True)
-class NonWieferichCertificate:
+class NonWieferichCertificate(Record):
     p: int
     prime_ideal: PrimeIdealData
     n: int
@@ -114,8 +113,7 @@ def certificate_for_n(gamma, n: int) -> list[NonWieferichCertificate]:
     return out
 
 
-@dataclass(frozen=True)
-class CertifiedCount:
+class CertifiedCount(Record):
     count: int
     # indices whose Phi_n(gamma) no stage of factor._STAGES split in budget
     skipped: tuple[int, ...]

@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,6 +24,7 @@ from .errors import DegenerateInputError, QuadrecError, UsageError
 from .heights import phi_norm_ratio, power_triples
 from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
                       lucas_tuple, period_bruteforce, period_formula)
+from .record import Record
 from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
                    sqrt_element)
 from .search import (_dumps, check_range, search_range, wall_predicate,
@@ -109,8 +109,7 @@ def format_quadratic(x: QuadraticElement) -> str:
 # configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     subcommand: str
     field_d: Optional[int] = None
     base: Optional[str] = None        # canonical literal
@@ -128,7 +127,7 @@ class RunConfig:
     workers: int = 1
 
     def config_hash(self) -> str:
-        blob = _dumps(asdict(self))
+        blob = _dumps({name: getattr(self, name) for name in self._fields})
         return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 

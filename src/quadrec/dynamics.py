@@ -9,7 +9,6 @@ every torsion relation without forming its product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,14 +17,14 @@ from .factor import iter_primes
 from .heights import _valuation_rows
 from .periods import (RecurrenceTuple, _pair_embedding, _state_period,
                       char_coefficients, ideal_factorization, period_formula)
+from .record import Record
 from .ring import (QuadraticElement, QuadraticField, _prime_ideals_above,
                    as_element, as_elements, ideal_factors, is_torsion)
 
 PRODUCT_BITS = 1 << 22  # largest sum_i |e_i| * bits(g_i) of a product we form
 
 
-@dataclass(frozen=True)
-class MultiplicativeGroupReport:
+class MultiplicativeGroupReport(Record):
     support_primes: tuple[str, ...]
     valuation_matrix: tuple[tuple[int, ...], ...]  # rows follow the generators
     kernel_basis: tuple[tuple[int, ...], ...]

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .certificates import cyclotomic_factors, cyclotomic_value
 from .errors import UsageError
 from .factor import euler_phi
+from .record import Record
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -31,8 +31,7 @@ from .ring import (
 PRECISION = 128  # mantissa bits
 
 
-@dataclass(frozen=True)
-class PlaceValue:
+class PlaceValue(Record):
     """The normalized absolute value of one element at one place.
 
     For a finite place the value is N(P)^(-v), exact.  For an infinite place
@@ -204,8 +203,7 @@ def _quality(h: float, r: float) -> float:
     return h / r
 
 
-@dataclass(frozen=True)
-class PhiRatio:
+class PhiRatio(Record):
     ratio: float   # log-norm of the cyclotomic value over phi(n)
     target: float  # h(gamma : 1) at the infinite places, the n -> inf limit
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInputError, InvariantBreachError,
                      ResourceLimitError, UsageError)
 from .factor import factorize, kronecker
+from .record import Record
 from .ring import (
     PrimeIdealData,
     QuadraticElement,
@@ -38,15 +38,17 @@ from .ring import (
 Modulus = Union[int, tuple[PrimeIdealData, int]]
 
 
-@dataclass(frozen=True)
-class RecurrenceTuple:
+class RecurrenceTuple(Record):
     """Generators a and weights b, all nonzero, generators pairwise distinct."""
 
     a: tuple[QuadraticElement, ...]
     b: tuple[QuadraticElement, ...]
     name: str = ""
 
-    def __post_init__(self):
+    __slots__ = ("__dict__",)  # room for the cached properties
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.a) != len(self.b) or not self.a:
             raise UsageError("need equally many generators and weights, at least one")
         as_elements(self.a + self.b)
@@ -79,8 +81,7 @@ class RecurrenceTuple:
                          for x in self.a + self.b)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Record):
     period: int
     per_generator_orders: tuple[tuple[int, str, int], ...]
     method: str  # "formula" | "brute_force"

@@ -11,13 +11,13 @@ integers' primality, factorization and sieve live in factor.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (DegenerateInputError, InvariantBreachError,
                      MixedFieldError, UsageError)
 from .factor import _sqrt_mod_prime, _vp, factorize, is_prime, kronecker
+from .record import Record
 
 Rational = Union[int, Fraction]
 
@@ -26,8 +26,7 @@ Rational = Union[int, Fraction]
 # fields and elements
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(Record):
     """Q(sqrt(d)) for squarefree d; w satisfies w^2 - omega_trace*w + omega_norm = 0."""
 
     d: int
@@ -54,8 +53,7 @@ def quadratic_field(d: int) -> QuadraticField:
     return fld
 
 
-@dataclass(frozen=True)
-class QuadraticElement:
+class QuadraticElement(Record):
     """(num_a + num_b*w) / den, normalized: den > 0, gcd(num_a, num_b, den) = 1."""
 
     field: Optional[QuadraticField]
@@ -63,11 +61,15 @@ class QuadraticElement:
     num_b: int
     den: int
 
-    def __post_init__(self):
-        if (self.den <= 0 or math.gcd(self.den, self.num_a, self.num_b) != 1
-                or (self.field is None and self.num_b != 0)):
-            raise ValueError(f"unnormalized element ({self.num_a} + "
-                             f"{self.num_b}*w)/{self.den}")
+    def __init__(self, field: Optional[QuadraticField], num_a: int, num_b: int,
+                 den: int):
+        if (den <= 0 or math.gcd(den, num_a, num_b) != 1
+                or (field is None and num_b != 0)):
+            raise ValueError(f"unnormalized element ({num_a} + {num_b}*w)/{den}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num_a", num_a)
+        object.__setattr__(self, "num_b", num_b)
+        object.__setattr__(self, "den", den)
 
     # -- constructors -------------------------------------------------------
 
@@ -261,8 +263,7 @@ def is_torsion(x: QuadraticElement) -> bool:
 # prime ideals
 
 
-@dataclass(frozen=True)
-class PrimeIdealData:
+class PrimeIdealData(Record):
     """A prime of Q (kind 'rational') or of a quadratic field, with splitting data.
 
     Built only by _prime_ideals_above.  hensel_root is the root of w's
@@ -276,7 +277,7 @@ class PrimeIdealData:
     kind: str  # rational | split | inert | ramified
     f: int
     hensel_root: Optional[int]
-    conjugate_flag: bool = False
+    conjugate_flag: bool
 
     @property
     def norm(self) -> int:
@@ -329,16 +330,16 @@ def _prime_ideals_above(field: Optional[QuadraticField], p: int) -> tuple[PrimeI
     p and b at the larger, and ramified p carries its double root.
     """
     if field is None:
-        return (PrimeIdealData(None, p, "rational", 1, None),)
+        return (PrimeIdealData(None, p, "rational", 1, None, False),)
     k = kronecker(field.disc, p)
     if k == 1:
         c1, c2 = _split_roots(field, p)
         return (PrimeIdealData(field, p, "split", 1, c1, False),
                 PrimeIdealData(field, p, "split", 1, c2, True))
     if k == -1:
-        return (PrimeIdealData(field, p, "inert", 2, None),)
+        return (PrimeIdealData(field, p, "inert", 2, None, False),)
     c = field.d % 2 if p == 2 else field.omega_trace * ((p + 1) // 2) % p
-    return (PrimeIdealData(field, p, "ramified", 1, c),)
+    return (PrimeIdealData(field, p, "ramified", 1, c, False),)
 
 
 def _lift_root(c: int, p: int, e: int, t: int, n: int) -> int:
@@ -423,8 +424,7 @@ def ideal_factors(x: QuadraticElement,
 # residue rings O_K / P^e
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ResidueElement:
+class ResidueElement(Record):
     """Element of O_K/P^e, with modulus = (P, e): one residue u mod p^e, or a
     coordinate pair u + v*w with w^2 = t*w - n when P is inert.
 
@@ -435,7 +435,13 @@ class ResidueElement:
 
     modulus: tuple[PrimeIdealData, int]
     u: int
-    v: int = 0
+    v: int
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, modulus: tuple[PrimeIdealData, int], u: int, v: int = 0):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     def is_one(self) -> bool:
         return self.u == 1 and self.v == 0

@@ -11,11 +11,11 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import CheckpointError, InvariantBreachError, UsageError
 from .factor import is_prime, iter_primes, kronecker
+from .record import Record
 from .ring import _prime_ideals_above, as_element, field_norm, ideal_factors
 from .wieferich import (fermat_quotient_residue, lucas_screen, unit_screen,
                         wall_period_test, wss_divisibility_test, wss_screen)
@@ -28,8 +28,7 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class SearchPredicate:
+class SearchPredicate(Record):
     """A named prime test: test(p) returns a hit record dict or None.
 
     name and params feed the config hash, so two scans are resumable into
@@ -42,8 +41,10 @@ class SearchPredicate:
     verify: Callable[[dict], bool]
 
 
-@dataclass
-class SearchCheckpoint:
+class SearchCheckpoint(Record):
+    # the scan updates it in place, so it is mutable and unhashable
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
     lo: int
     hi: int
     cursor: int
@@ -225,16 +226,17 @@ def wieferich_predicate(base) -> SearchPredicate:
     g = as_element(base)
     if g.is_zero():
         raise UsageError("zero base has no Wieferich primes")
-    support = {P.label() for P, _ in ideal_factors(g)}
+    factors = ideal_factors(g)
 
     if g.field is None:
         num, den = g.num_a, g.den
+        support = {P.p for P, _ in factors}
 
         def route(p: int) -> Optional[dict]:
-            if str(p) in support:
+            if p in support:
                 return None
             m = p * p
-            y = pow(num * pow(den, -1, m) % m, p - 1, m)
+            y = pow(num if den == 1 else num * pow(den, -1, m), p - 1, m)
             if y % p != 1:
                 raise InvariantBreachError(
                     f"base^(p-1) is not 1 mod {p}: Fermat's little theorem fails")
@@ -243,6 +245,7 @@ def wieferich_predicate(base) -> SearchPredicate:
             return {"p": p, "ideals": [str(p)], "aggregate": True}
         test = route
     else:
+        support = {P.label() for P, _ in factors}
         disc, den = g.field.disc, g.den
         trace = 2 * g.num_a + g.field.omega_trace * g.num_b
         norm = int(field_norm(g) * den * den)

@@ -11,12 +11,12 @@ and lucas_screen mod p^3 for any other quadratic base.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateInputError, InvariantBreachError, UsageError
 from .factor import iter_primes
 from .periods import pisano_prime_power
+from .record import Record
 from .ring import (
     PrimeIdealData,
     _prime_ideals_above,
@@ -28,8 +28,7 @@ from .ring import (
 )
 
 
-@dataclass(frozen=True)
-class WallVerdict:
+class WallVerdict(Record):
     p: int
     pi_p: int
     pi_p2: int

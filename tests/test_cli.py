@@ -359,11 +359,13 @@ def test_search_output_deterministic(capsys):
 
 
 def test_search_workers_match_serial(capsys):
-    _, serial, _ = run_cli(capsys, "search-wieferich", "--base", "2",
-                           "--to", "4000")
-    _, sharded, _ = run_cli(capsys, "search-wieferich", "--base", "2",
-                            "--to", "4000", "--workers", "3")
-    assert serial == sharded
+    # a quadratic base's shards pickle QuadraticElement and QuadraticField
+    for base, workers in ((["2"], "3"), (["(1+sqrt(5))/2", "--field-d", "5"], "2")):
+        _, serial, _ = run_cli(capsys, "search-wieferich", "--base", *base,
+                               "--to", "4000")
+        _, sharded, _ = run_cli(capsys, "search-wieferich", "--base", *base,
+                                "--to", "4000", "--workers", workers)
+        assert serial == sharded
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -34,6 +34,16 @@ def test_importing_every_module_loads_no_heavy_dependency():
     assert _fresh("-c", code) == b"[]\n"
 
 
+def test_importing_every_module_adds_neither_dataclasses_nor_inspect():
+    # the snapshot comes first, so a site hook that loads them is not blamed
+    code = ("import importlib, sys\n"
+            "before = set(sys.modules)\n"
+            f"for m in {MODULES!r}:\n"
+            "    importlib.import_module('quadrec.' + m)\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n")
+    assert _fresh("-c", code) == b"[]\n"
+
+
 @pytest.mark.parametrize("name", ["abc-quality-base-1-plus-sqrt-2-json",
                                   "phi-ratio-base-2-csv"])
 def test_first_height_in_a_fresh_interpreter_matches_golden(name):

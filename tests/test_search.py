@@ -105,7 +105,7 @@ def _hit_by_valuation(g, p):
 def test_predicate_support_rule_matches_the_valuation_rule():
     from quadrec.ring import as_element, qelem, quadratic_field
 
-    bases = [2, 6,
+    bases = [2, 6, -3, Fraction(3, 2), Fraction(-5, 7),
              qelem(quadratic_field(5), 0, 1),   # (1+sqrt 5)/2
              qelem(quadratic_field(2), 1, 2),   # 1+2*sqrt 2
              qelem(quadratic_field(-7), 0, 1)]  # (1+sqrt -7)/2
