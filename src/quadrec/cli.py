@@ -1,6 +1,6 @@
 """Command-line front end: argument parsing, literal syntax, output
 serialization, and the worker pool for range-sharded searches, which is
-imported only when a search asks for more than one worker.
+imported only when a search has two or more shards.
 
 Output discipline: every numeric value in JSON goes out as a decimal string
 (floats via shortest round-trip repr), CSV streams carry a versioned schema
@@ -20,15 +20,14 @@ from typing import Optional
 
 from .certificates import certified_count
 from .dynamics import expected_counts, multiplicative_rank
-from .errors import DegenerateInputError, QuadrecError, UsageError
+from .errors import QuadrecError, UsageError
 from .heights import phi_norm_ratio, power_triples
-from .periods import (RecurrenceTuple, fibonacci_tuple, ideal_factorization,
-                      lucas_tuple, period_bruteforce, period_formula)
+from .periods import (RecurrenceTuple, fibonacci_tuple, lucas_tuple,
+                      period_by_parts)
 from .record import Record
 from .ring import (QuadraticElement, as_element, as_elements, quadratic_field,
                    sqrt_element)
-from .search import (_dumps, check_range, search_range, wall_predicate,
-                     wieferich_predicate)
+from .search import _dumps, search_range, wall_predicate, wieferich_predicate
 
 # ---------------------------------------------------------------------------
 # quadratic literals: "a", "a/b", "sqrt(d)", "b*sqrt(d)", "(a+b*sqrt(d))/c"
@@ -311,11 +310,7 @@ def _emit(cfg: RunConfig, header: list[str], rows, out,
 
 
 def _cmd_period(cfg: RunConfig, out) -> None:
-    t = _resolve_tuple(cfg.tuple_spec, cfg.field_d)
-    try:
-        rep = period_formula(t, ideal_factorization(t.field(), cfg.modulus))
-    except DegenerateInputError:
-        rep = period_bruteforce(t, cfg.modulus)
+    rep = period_by_parts(_resolve_tuple(cfg.tuple_spec, cfg.field_d), cfg.modulus)
     if cfg.emit == "json":
         print(_json_line({
             "modulus": cfg.modulus, "period": rep.period,
@@ -331,13 +326,10 @@ _HIT_FIELDS = {"search-wss": ["p", "pi_p", "pi_p2"],
                "search-wieferich": ["p", "ideals", "aggregate"]}
 
 
-def _predicate(kind: str, base: Optional[QuadraticElement]):
-    return wall_predicate() if kind == "search-wss" else wieferich_predicate(base)
-
-
-def _scan_shard(spec: tuple) -> tuple[list, int]:
-    kind, base, lo, hi = spec
-    ck = search_range(_predicate(kind, base), lo, hi)
+def _scan_shard(kind: str, base: Optional[QuadraticElement], lo: int, hi: int,
+                checkpoint: Optional[str], resume: bool) -> tuple[list, int]:
+    pred = wall_predicate() if kind == "search-wss" else wieferich_predicate(base)
+    ck = search_range(pred, lo, hi, checkpoint, resume=resume)
     return ck.hits, ck.primes_scanned
 
 
@@ -347,25 +339,22 @@ def _cmd_search(cfg: RunConfig, out) -> None:
     if cfg.workers > 1 and cfg.checkpoint:
         raise UsageError("checkpointing requires --workers 1")
     base = None if cfg.base is None else parse_quadratic(cfg.base, cfg.field_d)
-    if cfg.workers == 1:
-        ck = search_range(_predicate(cfg.subcommand, base), cfg.lo, cfg.hi,
-                          cfg.checkpoint, resume=cfg.resume)
-        hits, scanned = ck.hits, ck.primes_scanned
+    lo, hi = cfg.lo, cfg.hi
+    chunk = max(1, -(-(hi - lo) // cfg.workers))
+    # an empty or backwards range is the one shard (lo, hi): search_range
+    # refuses it or scans it as empty
+    bounds = [(a, min(hi, a + chunk)) for a in range(lo, hi, chunk)] or [(lo, hi)]
+    shards = [(cfg.subcommand, base, a, b, cfg.checkpoint, cfg.resume)
+              for a, b in bounds]
+    if len(shards) == 1:  # one shard runs here and starts no pool
+        results = [_scan_shard(*shards[0])]
     else:
-        check_range(cfg.lo, cfg.hi)
-        chunk = max(1, -(-(cfg.hi - cfg.lo) // cfg.workers))
-        shards = [(cfg.subcommand, base, a, min(cfg.hi, a + chunk))
-                  for a in range(cfg.lo, cfg.hi, chunk)]
-        hits, scanned = [], 0
-        # with fork the pool starts every worker up front, so ask for no
-        # more processes than there are shards or CPUs
-        workers = min(cfg.workers, len(shards), os.cpu_count() or 1)
-        if workers:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for shard_hits, shard_scanned in pool.map(_scan_shard, shards):
-                    hits.extend(shard_hits)  # ordered shards keep hits sorted
-                    scanned += shard_scanned
+        from concurrent.futures import ProcessPoolExecutor
+        # fork starts every worker up front, so no more than shards or CPUs
+        with ProcessPoolExecutor(min(len(shards), os.cpu_count() or 1)) as pool:
+            results = list(pool.map(_scan_shard, *zip(*shards)))
+    hits = [h for part, _ in results for h in part]  # ordered shards: sorted hits
+    scanned = sum(n for _, n in results)
     header = _HIT_FIELDS[cfg.subcommand]
     _emit(cfg, header, [[h[k] for k in header] for h in hits], out,
           json_tail={"range": [cfg.lo, cfg.hi], "hits": len(hits),

@@ -353,6 +353,22 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
     return PeriodReport(_state_period(cs, xs, *ring), (), "brute_force")
 
 
+def period_by_parts(t: RecurrenceTuple, m: int) -> PeriodReport:
+    """Period of t mod m >= 1: the lcm over each p^e exactly dividing m of
+    period_formula at the ideals above p^e, or of period_bruteforce at p^e
+    where the formula refuses.  The method is "formula", with every order,
+    only when no part was iterated."""
+    period, orders, method = 1, [], "formula"
+    for p, e in sorted(factorize(m).items()):
+        try:
+            part = period_formula(t, ideal_factorization(t.field(), p ** e))
+        except DegenerateInputError:
+            part, method = period_bruteforce(t, p ** e), "brute_force"
+        period = math.lcm(period, part.period)
+        orders += part.per_generator_orders
+    return PeriodReport(period, tuple(orders) if method == "formula" else (), method)
+
+
 # ---------------------------------------------------------------------------
 # Fibonacci specialization
 

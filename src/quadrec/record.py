@@ -11,8 +11,8 @@ from operator import attrgetter
 
 
 class _DataclassView:
-    """dataclasses.replace, fields and asdict read these two names; they
-    come from a dataclass of the same fields, built the first time one of
+    """dataclasses.replace, fields and asdict read __dataclass_fields__; it
+    comes from a dataclass of the same fields, built the first time one of
     them asks."""
 
     def __set_name__(self, owner, name):
@@ -43,7 +43,6 @@ class _RecordType(type):
 
 class Record(metaclass=_RecordType):
     __dataclass_fields__ = _DataclassView()
-    __dataclass_params__ = _DataclassView()
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

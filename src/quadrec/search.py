@@ -70,12 +70,6 @@ class SearchCheckpoint(Record):
         return self.cursor >= self.hi
 
 
-def check_range(lo: int, hi: int) -> None:
-    """Refuse a backwards scan range; lo == hi is an empty scan."""
-    if lo > hi:
-        raise UsageError(f"empty-or-backwards range [{lo}, {hi})")
-
-
 def predicate_config_hash(pred: SearchPredicate, lo: int, hi: int) -> str:
     blob = {
         "schema": CHECKPOINT_VERSION,
@@ -146,7 +140,8 @@ def search_range(pred: SearchPredicate, lo: int, hi: int,
     flushed and returned incomplete; call again with resume=True).  Stored
     hits are re-verified on resume before any new work happens.
     """
-    check_range(lo, hi)
+    if lo > hi:  # lo == hi is an empty scan
+        raise UsageError(f"empty-or-backwards range [{lo}, {hi})")
     h = predicate_config_hash(pred, lo, hi)
     ck = SearchCheckpoint(lo, hi, lo, [], 0, h)
     if resume:

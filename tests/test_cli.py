@@ -370,7 +370,8 @@ def test_search_workers_match_serial(capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_backwards_range_exits_2_on_either_path(capsys, workers):
-    # the sharded path used to build no shard and print an empty result
+    # a backwards range is one shard whatever the worker count, and
+    # search_range refuses it
     code, out, err = run_cli(capsys, "search-wss", "--from", "10", "--to", "5",
                              "--workers", workers)
     assert (code, out) == (2, "")
@@ -379,7 +380,7 @@ def test_backwards_range_exits_2_on_either_path(capsys, workers):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_resume_without_checkpoint_exits_2_on_either_path(capsys, workers):
-    # the sharded path used to ignore --resume and print a fresh scan
+    # the refusal comes before any shard is built, whatever the worker count
     code, out, err = run_cli(capsys, "search-wieferich", "--base", "2",
                              "--to", "100", "--resume", "--workers", workers)
     assert (code, out) == (2, "")
@@ -415,8 +416,8 @@ def test_search_pool_is_capped(capsys, monkeypatch, workers, cpus, pool_size):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -424,11 +425,16 @@ def test_search_pool_is_capped(capsys, monkeypatch, workers, cpus, pool_size):
     code, sharded, _ = run_cli(capsys, "search-wss", "--to", "2000",
                                "--workers", str(workers))
     assert (code, sharded, sizes) == (0, serial, [pool_size])
-    # an empty range has no shards and starts no pool
+    # an empty range and a one-integer range are each one shard, which runs
+    # in this process and starts no pool
     code, out, _ = run_cli(capsys, "search-wss", "--from", "10", "--to", "10",
                            "--workers", "2")
     assert (code, sizes) == (0, [pool_size])
     assert json.loads(out)["primes_scanned"] == "0"
+    code, out, _ = run_cli(capsys, "search-wss", "--from", "10", "--to", "11",
+                           "--workers", "3")
+    assert (code, sizes) == (0, [pool_size])
+    assert json.loads(out)["range"] == ["10", "11"]
 
 
 def test_search_checkpoint_resume(capsys, tmp_path):

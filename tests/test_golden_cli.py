@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of thirty fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of thirty-two fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -32,6 +32,9 @@ COMMANDS = {
     "search-wieferich-base-2-field-5": ["search-wieferich", "--base", "2",
                                         "--field-d", "5", "--to", "20000"],
     "search-wss": ["search-wss", "--to", "20000"],
+    # an empty range is one shard, scanned in this process with no pool
+    "search-wss-from-10-to-10-workers-2": ["search-wss", "--from", "10",
+                                           "--to", "10", "--workers", "2"],
     "search-wss-csv": ["search-wss", "--to", "20000", "--emit", "csv"],
     "certify-base-2": ["certify", "--base", "2", "--bound", "1000000000000"],
     "certify-base-2-csv": ["certify", "--base", "2", "--bound", "1000000000000",
@@ -43,15 +46,19 @@ COMMANDS = {
     "certify-base-1-plus-sqrt-2-csv": ["certify", "--base", "1+sqrt(2)",
                                        "--bound", "100000000", "--emit", "csv"],
     "period-lucas-3087": ["period", "--tuple", "lucas", "--mod", "3087"],
-    # 50015 = 5 * 7 * 1429 is degenerate at 5: the CLI iterates all of it
+    # 50015 = 5 * 7 * 1429 is degenerate at 5: the CLI iterates mod 5 alone,
+    # so the method is brute_force and no orders are listed
     "period-fibonacci-50015-json": ["period", "--tuple", "fibonacci",
                                     "--mod", "50015", "--emit", "json"],
+    # 5000015 = 5 * 1000003: only the part mod 5 is iterated
+    "period-fibonacci-5000015-json": ["period", "--tuple", "fibonacci",
+                                      "--mod", "5000015", "--emit", "json"],
     # 119 = 7 * 17, both split in Q(sqrt(2)): four ideals on the formula route
     "period-custom-sqrt-2-119-json": ["period", "--tuple",
                                       "1+sqrt(2),1-sqrt(2);1,1",
                                       "--mod", "119", "--emit", "json"],
     # rational tuples of orders 1, 3 and 4, each degenerate at a prime of its
-    # modulus (a weight of 7 or 11), so the CLI iterates all of it
+    # modulus (a weight of 7 or 11), so the CLI iterates that prime's part
     "period-rational-order-1-70-json": ["period", "--tuple", "3;7", "--mod", "70",
                                         "--emit", "json"],
     "period-rational-order-3-1001-json": ["period", "--tuple", "2,3,5;7,1,1",

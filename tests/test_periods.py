@@ -3,12 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import quadrec.periods
 from quadrec.errors import (DegenerateInputError, InvariantBreachError,
                             ResourceLimitError, UsageError)
+from quadrec.factor import factorize, is_prime
 from quadrec.periods import (
     PeriodReport,
     RecurrenceTuple,
@@ -23,6 +24,7 @@ from quadrec.periods import (
     least_period,
     lucas_tuple,
     multiplicative_order,
+    period_by_parts,
     period_bruteforce,
     period_formula,
     pisano,
@@ -423,6 +425,51 @@ def test_formula_equals_brute_small_sweep():
                     lhs = period_formula(t, [(P, e)]).period
                     rhs = period_bruteforce(t, (P, e)).period
                     assert lhs == rhs, (t.name, P.label(), e)
+
+
+# ---------------------------------------------------------------------------
+# composite moduli, one prime power at a time
+
+
+def _degenerate_at(q: int) -> list[RecurrenceTuple]:
+    """Custom tuples degenerate at q: a weight of q, in Q and in Q(sqrt(2)),
+    and a root of q, which leaves the constant coefficient no unit mod q."""
+    K2 = quadratic_field(2)
+    return [rational_tuple((2, 3), (q, 1)),
+            RecurrenceTuple((qelem(K2, 1, 1), qelem(K2, 1, -1)),
+                            (as_element(q, K2), as_element(1, K2))),
+            rational_tuple((q, q + 1), (1, 1))]
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=4, max_value=2000).filter(
+           lambda m: not is_prime(m)), st.data())
+def test_period_by_parts_matches_the_whole_modulus_oracle(m, data):
+    q = data.draw(st.sampled_from(sorted(factorize(m))))
+    t = data.draw(st.sampled_from(standard_battery() + _degenerate_at(q)))
+    try:
+        want = period_bruteforce(t, m).period
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            period_by_parts(t, m)
+        return
+    rep = period_by_parts(t, m)
+    assert rep.period == want, (t.name, m)
+    if rep.method == "formula":  # no part iterated: the formula of all of m
+        assert rep == period_formula(t, ideal_factorization(t.field(), m))
+    else:
+        assert rep.method == "brute_force" and rep.per_generator_orders == ()
+
+
+def test_period_by_parts_iterates_only_the_degenerate_part(monkeypatch):
+    moduli = []
+    real = quadrec.periods.period_bruteforce
+    monkeypatch.setattr(quadrec.periods, "period_bruteforce",
+                        lambda t, m: moduli.append(m) or real(t, m))
+    assert period_by_parts(FIB, 5 * 1000003) == PeriodReport(10000040, (),
+                                                             "brute_force")
+    assert moduli == [5]
+    assert period_by_parts(FIB, 1) == PeriodReport(1, (), "formula")
 
 
 # ---------------------------------------------------------------------------

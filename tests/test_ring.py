@@ -792,6 +792,51 @@ def test_rho_yields_the_work_of_every_round_it_runs(monkeypatch):
     assert _work(dict(factor._STAGES)["rho"](q1 * q2, 1)) == (None, 7936)
 
 
+def test_rho_backtracks_when_a_block_gcd_is_n():
+    # both primes fall out within one block of 128 products, so the block's
+    # gcd is n itself; stepping back one squaring at a time separates them,
+    # with the first parameter and after one fruitless round of 256
+    for q1, q2 in ((101, 103), (10007, 10009)):
+        assert _work(factor._pollard_brent(q1 * q2, factor.RHO_BUDGET)) == (q1, 256)
+
+
+def _yields_then(work, value):
+    """A stand-in split method: yields each amount of work, then returns value."""
+    def method(*args):
+        yield from work
+        return value
+    return method
+
+
+class _EndsOnce:
+    """A stand-in stage that ends at once with no factor, and fails the test
+    if the race advances it again."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __next__(self):
+        self.calls += 1
+        assert self.calls == 1, "the race advanced a stage that had ended"
+        raise StopIteration
+
+
+def test_race_drops_a_stage_that_ended_without_a_factor(monkeypatch):
+    ended = _EndsOnce()
+    monkeypatch.setattr(factor, "_STAGES", (
+        ("ends", lambda n, index: ended),
+        ("finds", _yields_then([5, 5], 3))))
+    assert factor._split(15, 1) == 3 and ended.calls == 1
+
+
+def test_race_raises_once_every_stage_has_ended(monkeypatch):
+    monkeypatch.setattr(factor, "_STAGES", (
+        ("a", _yields_then([1, 2], None)), ("b", _yields_then([2], None))))
+    with pytest.raises(FactorizationError,
+                       match=r"on cofactor 15 \(work spent: a 3, b 2\)$"):
+        factor._split(15, 1)
+
+
 def test_ring_does_not_re_export_the_factoring_internals():
     # a test that patches one of these on ring must raise, not patch nothing
     for name in ("RHO_BUDGET", "SEGMENT", "TRIAL_LIMIT", "_STAGES",

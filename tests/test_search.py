@@ -138,6 +138,19 @@ def test_wall_predicate_flags_a_screen_that_wall_contradicts(monkeypatch):
         pred.test(7)
 
 
+def test_wall_predicate_builds_the_hit_record_of_equal_periods(monkeypatch):
+    # no Wall-Sun-Sun prime is known, so stand-ins make 7 one: it passes the
+    # screen with equal periods; 11 passes the screen with unequal ones
+    monkeypatch.setattr(search, "wss_screen", lambda p: p in (7, 11))
+    monkeypatch.setattr(search, "wall_period_test", lambda p: WallVerdict(
+        p, 10 * p, 10 * p if p == 7 else 10 * p * p, p == 7))
+    pred = wall_predicate()
+    assert pred.test(7) == {"p": 7, "pi_p": 70, "pi_p2": 70}
+    assert search_range(pred, 2, 11).hits == [{"p": 7, "pi_p": 70, "pi_p2": 70}]
+    with pytest.raises(InvariantBreachError, match="p=11 passes"):
+        pred.test(11)
+
+
 @settings(max_examples=25)
 @given(st.sampled_from((5, 13, -3, 2, 3, -1, 17, -7, 10)),
        st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40))
