@@ -159,7 +159,7 @@ def is_degenerate(t: RecurrenceTuple, P: PrimeIdealData) -> bool:
 def ideal_factorization(field: Optional[QuadraticField],
                         m: int) -> list[tuple[PrimeIdealData, int]]:
     """(P, e) for every prime ideal P above each p^e exactly dividing m >= 1,
-    in ascending p; both primes above a split p carry the exponent e."""
+    in ascending p; (P, e) stands for P^e, or for p^e = P^(2e) at ramified P."""
     return [(P, e) for p, e in sorted(factorize(m).items())
             for P in _prime_ideals_above(field, p)]
 
@@ -354,16 +354,18 @@ def period_bruteforce(t: RecurrenceTuple, m: Modulus) -> PeriodReport:
 
 
 def period_by_parts(t: RecurrenceTuple, m: int) -> PeriodReport:
-    """Period of t mod m >= 1: the lcm over each p^e exactly dividing m of
-    period_formula at the ideals above p^e, or of period_bruteforce at p^e
-    where the formula refuses.  The method is "formula", with every order,
-    only when no part was iterated."""
+    """Period of t mod m >= 1: the lcm over each (P, e) of
+    ideal_factorization(m) of period_formula, or of period_bruteforce where
+    the formula refuses: at (P, e) for split P, so its conjugate keeps the
+    formula, and at p^e for the one ideal above any other p.  The method is
+    "formula", with every order, only when no part was iterated."""
     period, orders, method = 1, [], "formula"
-    for p, e in sorted(factorize(m).items()):
+    for P, e in ideal_factorization(t.field(), m):
         try:
-            part = period_formula(t, ideal_factorization(t.field(), p ** e))
+            part = period_formula(t, [(P, e)])
         except DegenerateInputError:
-            part, method = period_bruteforce(t, p ** e), "brute_force"
+            part = period_bruteforce(t, (P, e) if P.kind == "split" else P.p ** e)
+            method = "brute_force"
         period = math.lcm(period, part.period)
         orders += part.per_generator_orders
     return PeriodReport(period, tuple(orders) if method == "formula" else (), method)

@@ -75,8 +75,6 @@ class QuadraticElement(Record):
 
     @staticmethod
     def _make(field: Optional[QuadraticField], na: int, nb: int, den: int) -> "QuadraticElement":
-        if den < 0:
-            na, nb, den = -na, -nb, -den
         g = math.gcd(den, na, nb)  # den first: stops at a gcd of 1
         if g > 1:
             na, nb, den = na // g, nb // g, den // g

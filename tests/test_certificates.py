@@ -403,3 +403,13 @@ def test_order_proof_refuses_gamma_n_not_one(monkeypatch):
     with pytest.raises(InvariantBreachError,
                        match=r"at 7: gamma\^n != 1, n=10"):
         certificate_for_n(2, 10)
+
+
+def test_certificate_at_a_wieferich_prime_is_a_breach(monkeypatch):
+    # Phi_10(2) = 11 and 2 has order 10 mod 11; a Fermat quotient of 0
+    # there would make 11 a Wieferich prime, which a certificate excludes
+    import quadrec.certificates as mod
+    monkeypatch.setattr(mod, "fermat_quotient_residue", lambda g, P: 0)
+    with pytest.raises(InvariantBreachError,
+                       match="Wieferich prime at 11, n=10"):
+        certificate_for_n(2, 10)

@@ -411,6 +411,17 @@ def test_eigen_consistency_examples():
     assert eigen_consistency(rational_tuple([2, 3, 5], [1, 1, 1]), 7)["orbit"] == 6
 
 
+def test_eigen_consistency_flags_a_root_off_the_polynomial(monkeypatch):
+    # the orbit reads the tuple's own recurrence, so only the root check
+    # sees the perturbed constant coefficient
+    real = dynamics.char_coefficients
+    monkeypatch.setattr(dynamics, "char_coefficients",
+                        lambda t: (real(t)[0] + 1,) + real(t)[1:])
+    with pytest.raises(InvariantBreachError,
+                       match="fails the characteristic polynomial"):
+        eigen_consistency(fibonacci_tuple(), 7)
+
+
 def test_eigen_consistency_battery():
     checked = 0
     for t in standard_battery():

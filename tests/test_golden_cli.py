@@ -1,4 +1,4 @@
-"""Golden CLI outputs: stdout of thirty-two fixed commands, pinned byte for byte.
+"""Golden CLI outputs: stdout of thirty-three fixed commands, pinned byte for byte.
 
 Every subcommand and emit format has at least one command here.  The files
 under golden/ were captured before the code they pin was changed; any change
@@ -57,6 +57,11 @@ COMMANDS = {
     "period-custom-sqrt-2-119-json": ["period", "--tuple",
                                       "1+sqrt(2),1-sqrt(2);1,1",
                                       "--mod", "119", "--emit", "json"],
+    # 1001+3*sqrt(2) has norm 1001983 and lies in 1001983b alone, so only
+    # that ideal is iterated; the formula answers at 1001983a
+    "period-custom-sqrt-2-1001983-json": ["period", "--tuple",
+                                          "1+sqrt(2),1-sqrt(2);1001+3*sqrt(2),1",
+                                          "--mod", "1001983", "--emit", "json"],
     # rational tuples of orders 1, 3 and 4, each degenerate at a prime of its
     # modulus (a weight of 7 or 11), so the CLI iterates that prime's part
     "period-rational-order-1-70-json": ["period", "--tuple", "3;7", "--mod", "70",

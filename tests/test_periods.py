@@ -433,12 +433,19 @@ def test_formula_equals_brute_small_sweep():
 
 def _degenerate_at(q: int) -> list[RecurrenceTuple]:
     """Custom tuples degenerate at q: a weight of q, in Q and in Q(sqrt(2)),
-    and a root of q, which leaves the constant coefficient no unit mod q."""
+    and a root of q, which leaves the constant coefficient no unit mod q.
+    When q splits in Q(sqrt(2)), also a weight r + sqrt(2) with r^2 = 2
+    (mod q), which lies in one ideal above q only."""
     K2 = quadratic_field(2)
-    return [rational_tuple((2, 3), (q, 1)),
-            RecurrenceTuple((qelem(K2, 1, 1), qelem(K2, 1, -1)),
-                            (as_element(q, K2), as_element(1, K2))),
-            rational_tuple((q, q + 1), (1, 1))]
+    silver = (qelem(K2, 1, 1), qelem(K2, 1, -1))
+    out = [rational_tuple((2, 3), (q, 1)),
+           RecurrenceTuple(silver, (as_element(q, K2), as_element(1, K2))),
+           rational_tuple((q, q + 1), (1, 1))]
+    roots = [r for r in range(q) if (r * r - 2) % q == 0]
+    if len(roots) == 2:
+        out.append(RecurrenceTuple(silver, (qelem(K2, roots[0], 1),
+                                            as_element(1, K2))))
+    return out
 
 
 @settings(max_examples=60)
@@ -470,6 +477,13 @@ def test_period_by_parts_iterates_only_the_degenerate_part(monkeypatch):
                                                              "brute_force")
     assert moduli == [5]
     assert period_by_parts(FIB, 1) == PeriodReport(1, (), "formula")
+    # the weight 3 + sqrt(2) has norm 7 and lies in 7b alone, so 7a and 17
+    # keep the formula
+    t = _degenerate_at(7)[-1]
+    moduli.clear()
+    rep = period_by_parts(t, 49 * 17)
+    assert [(P.label(), e) for P, e in moduli] == [("7b", 2)]
+    assert rep == PeriodReport(real(t, 49 * 17).period, (), "brute_force")
 
 
 # ---------------------------------------------------------------------------

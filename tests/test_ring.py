@@ -905,3 +905,58 @@ def test_valuation_rejects_a_prime_of_another_field():
     (P,) = prime_ideals_above(quadratic_field(2), 3)
     with pytest.raises(InvariantBreachError):
         quad_valuation(PHI, P)
+
+
+# ---------------------------------------------------------------------------
+# input guards across the library, each with the refusal it must give
+
+
+def _input_guard_cases():
+    from quadrec.heights import log_norm
+    from quadrec.periods import (RecurrenceTuple, multiplicative_order,
+                                 period_bruteforce, pisano, rational_tuple)
+    (P7,) = prime_ideals_above(None, 7)
+    zero, one = as_element(0), as_element(1)
+    cases = {
+        "as_fraction of an irrational": (lambda: PHI.as_fraction(),
+                                         ValueError, "not a rational value"),
+        "inverse of zero": (zero.inverse, ZeroDivisionError, "inverse of zero"),
+        "sqrt coordinate with no field": (lambda: qelem(None, 1, 1),
+                                          ValueError, "needs a field"),
+        "negative den": (lambda: qelem(K5, 1, 0, -3), ValueError,
+                         "unnormalized"),
+        "as_element of a str": (lambda: as_element("2"), TypeError,
+                                "cannot coerce str"),
+        "valuation of zero": (lambda: quad_valuation(zero, P7), ValueError,
+                              "no finite valuation"),
+        "valuation at a rational prime": (lambda: quad_valuation(PHI, P7),
+                                          ValueError, "rational prime"),
+        "ideal_factors of zero": (lambda: ideal_factors(zero), ValueError,
+                                  "no ideal factorization"),
+        "reduce with e < 1": (lambda: reduce(2, (P7, 0)), UsageError,
+                              "exponent must be >= 1"),
+        "reduce at a rational prime": (lambda: reduce(PHI, (P7, 1)),
+                                       ValueError, "at a rational prime"),
+        "residue_pow with k < 0": (lambda: residue_pow(reduce(2, (P7, 1)), -1),
+                                   ValueError, "negative exponent"),
+        "tuple of unequal lengths": (lambda: RecurrenceTuple((one,), (one, one)),
+                                     UsageError, "equally many"),
+        "order of a non-unit": (lambda: multiplicative_order(reduce(7, (P7, 1))),
+                                DegenerateInputError, "of a non-unit"),
+        "oracle at modulus 0": (lambda: period_bruteforce(
+            rational_tuple((2,), (1,)), 0), UsageError, "positive integer"),
+        "pisano(0)": (lambda: pisano(0), UsageError, "positive integers"),
+        "factorize with index 0": (lambda: factorize(10, index=0), ValueError,
+                                   "index must be a positive integer"),
+        "factorize(0)": (lambda: factorize(0), ValueError,
+                         "defined for positive integers"),
+        "log_norm of zero": (lambda: log_norm(zero), UsageError,
+                             "log-norm of zero"),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("call, exc, match", _input_guard_cases())
+def test_input_guards_refuse(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()

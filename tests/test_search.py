@@ -151,6 +151,15 @@ def test_wall_predicate_builds_the_hit_record_of_equal_periods(monkeypatch):
         pred.test(11)
 
 
+def test_rational_route_flags_a_fermat_failure(monkeypatch):
+    # a stand-in pow whose residue is 2 mod 7 breaks Fermat's little theorem
+    pred = wieferich_predicate(2)
+    monkeypatch.setattr(search, "pow", lambda b, e, m: 2, raising=False)
+    with pytest.raises(InvariantBreachError,
+                       match="not 1 mod 7: Fermat's little theorem fails"):
+        pred.test(7)
+
+
 @settings(max_examples=25)
 @given(st.sampled_from((5, 13, -3, 2, 3, -1, 17, -7, 10)),
        st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40))
